@@ -23,8 +23,9 @@
 //!    loop bounds and a guaranteed upper bound ([`CycleBound`]) on the
 //!    pipelined simulator's cycle count for a profiled execution.
 //!
-//! See `docs/analysis.md` for the lattices and proof obligations, and the
-//! `asbr-lint` binary for the CLI entry point.
+//! [`lint_program`] runs the whole battery over one program; it backs
+//! `asbr_tool lint`. See `docs/analysis.md` for the lattices and proof
+//! obligations.
 
 #![warn(missing_docs)]
 
@@ -38,7 +39,8 @@ pub mod schedule_check;
 
 use asbr_asm::Program;
 use asbr_core::BitEntry;
-use asbr_flow::Cfg;
+use asbr_flow::schedule::hoist_predicates;
+use asbr_flow::{select_static, Cfg};
 
 pub use absint::{AbsState, Interval, ValueRanges};
 pub use bounds::{
@@ -72,6 +74,27 @@ pub fn check_program(name: &str, program: &Program) -> Report {
     lints::check_dead_defs(&mut report, program, &cfg, &lv);
     let vr = ValueRanges::compute(program, &cfg);
     bounds::check_loop_bounds(&mut report, program, &cfg, &vr);
+    report
+}
+
+/// BIT capacity the static selection of [`lint_program`] assumes (the
+/// unit's default).
+const BIT_CAPACITY: usize = 16;
+
+/// Runs the full check battery over one program: every lint of
+/// [`check_program`], the fold-soundness proof of the static BIT
+/// selection at `threshold` ([`check_folds`]), and the validation of the
+/// `hoist_predicates` schedule ([`check_schedule`]).
+#[must_use]
+pub fn lint_program(name: &str, program: &Program, threshold: u32) -> Report {
+    let mut report = check_program(name, program);
+    let entries: Vec<BitEntry> = select_static(program, threshold, BIT_CAPACITY)
+        .iter()
+        .filter_map(|p| BitEntry::from_program(program, p.candidate.pc).ok())
+        .collect();
+    check_folds(&mut report, program, &entries, threshold);
+    let (hoisted, _) = hoist_predicates(program);
+    check_schedule(&mut report, program, &hoisted);
     report
 }
 

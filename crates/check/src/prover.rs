@@ -304,7 +304,7 @@ pub fn prove_bit(
 /// installable *and* its predicate is far enough from every definition on
 /// every static path (ASBR02). This is the strongest guarantee — an entry
 /// passing it folds successfully on every dynamic execution — and is what
-/// `asbr-lint` and the customization-image verifier report.
+/// `asbr_tool lint` and the customization-image verifier report.
 ///
 /// Note this is *not* the selection gate: the BDT validity counter blocks
 /// unsound folds dynamically, so `asbr_profile::select_branches` requires

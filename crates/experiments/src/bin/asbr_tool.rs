@@ -3,7 +3,11 @@
 //! ```text
 //! asbr_tool asm <file.s>                      assemble; print layout + disassembly
 //! asbr_tool analyze <file.s>                  branch candidates, distances, loop depths
-//! asbr_tool lint <file.s>                     static verifier + fold-soundness prover
+//! asbr_tool lint [FILE.s ...] [options]       static verifier, fold-soundness prover and
+//!                                             schedule validator (no files: every workload)
+//!   --json                 print the reports as one JSON array
+//!   --deny <level>         info|warn|error: fail on findings this severe (default error)
+//!   --threshold <n>        fold-proof threshold (default: the Mem publish point's)
 //! asbr_tool customize <file.s> -o <image>     static selection -> customization image
 //! asbr_tool run <file.s> [options]            run on the cycle-accurate pipeline
 //!   --input 1,2,3          feed MMIO input samples
@@ -44,9 +48,26 @@
 //!   --no-cache             disable the on-disk cache
 //!   --refresh              ignore existing cache entries but rewrite them
 //!   --out <path>           report path (default results/PARETO_<space>_<workload>.json)
+//! asbr_tool tables [TABLE ...] [options]      regenerate the paper's tables and the
+//!                                             ablations; print each, write results/*.json
+//!   --samples <n>          input samples (default 24000)
+//!   --threads <n>          executor workers (default: one per core)
+//!   --no-cache             disable the on-disk cache (default results/cache)
+//!   --refresh              ignore existing cache entries but rewrite them
 //! ```
 //!
-//! Exit codes: `0` success, `2` any error.
+//! `TABLE` is one of `fig6`, `fig7`, `fig9`, `fig10`, `fig11`, `all` (the
+//! default: Figures 6, 7, 7b, 9, 10 and 11), `attribution` (the baseline →
+//! ASBR cycle deltas by bucket, see `docs/observability.md`), `sweep`
+//! (Figures 6 + 11 through the cached engine, with per-run walls in
+//! `results/BENCH_sweep.json`), `motivation`, `fig6x`, `scope`, `power`,
+//! `area` or `ablation-{bit,threshold,sched,aux,banks,latency,ras,cache,
+//! family,static}`.
+//!
+//! Exit codes: `0` success; `1` the command ran and a check failed (lint
+//! findings at or above `--deny`, a `wcet` bound below the simulated
+//! cycles, `bench --check` drift); `2` bad usage, or an I/O or library
+//! error.
 //!
 //! Workload names for `trace`/`explore` match the benchmark names of the
 //! tables ignoring case and punctuation (`adpcm-encode`, `g721-decode`,
@@ -61,19 +82,42 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
 use asbr_asm::{assemble, Program};
 use asbr_bpred::PredictorKind;
+use asbr_check::{lint_program, Severity};
 use asbr_core::{decode_image, encode_image, AsbrConfig, AsbrUnit};
+use asbr_experiments::{
+    ablation, attribution, branch_tables, costs, fig11, fig6, motivation, scope,
+};
 use asbr_flow::{call_aware_depths, candidates, select_static, Cfg};
+use asbr_harness::json::ToJson;
 use asbr_harness::{
-    Axis, CacheMode, Constraint, CostModel, DesignSpace, Executor, Exploration, Metric, Objective,
-    ResultCache, RunSpec, SearchStrategy, ThroughputSpec, AUX_BTB, PROFILE_PREDICTOR,
-    SAMPLES_SMOKE, THROUGHPUT_REPS, THROUGHPUT_SAMPLES,
+    Axis, CacheMode, Constraint, CostModel, DesignSpace, Executor, Exploration, HarnessError,
+    Metric, Objective, ResultCache, RunSpec, SearchStrategy, SweepBench, ThroughputBench,
+    ThroughputSpec, AUX_BTB, PROFILE_PREDICTOR, SAMPLES_FULL, SAMPLES_SMOKE, THROUGHPUT_REPS,
+    THROUGHPUT_SAMPLES,
 };
 use asbr_profile::{profile, select_branches, SelectionConfig};
-use asbr_sim::{ChromeTracer, CycleBucket, Pipeline, PipelineConfig, PublishPoint};
+use asbr_sim::{
+    ChromeTracer, CycleBucket, Pipeline, PipelineConfig, PipelineSummary, PublishPoint, SimHooks,
+};
 use asbr_workloads::Workload;
+
+/// Why a command did not succeed; `main` maps it onto the exit code.
+enum Failure {
+    /// The command ran and a check it makes failed (exit 1).
+    Check(String),
+    /// Bad usage, or an I/O or library error (exit 2).
+    Error(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Error(msg)
+    }
+}
 
 /// Cursor over a subcommand's argv tail. Flag handlers call
 /// [`ArgCursor::value`]/[`ArgCursor::parse`] to consume a flag's operand
@@ -225,21 +269,40 @@ fn cmd_analyze(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_lint(path: &str) -> Result<(), String> {
-    let prog = load_program(path)?;
-    let threshold = PublishPoint::Mem.threshold();
-    let mut report = asbr_check::check_program(path, &prog);
-    let entries: Vec<asbr_core::BitEntry> = select_static(&prog, threshold, 16)
-        .iter()
-        .filter_map(|p| asbr_core::BitEntry::from_program(&prog, p.candidate.pc).ok())
-        .collect();
-    asbr_check::check_folds(&mut report, &prog, &entries, threshold);
-    print!("{}", report.render_text());
-    if report.worst() >= Some(asbr_check::Severity::Warning) {
-        return Err(format!(
-            "{} finding(s) at warning or above",
-            report.count_at_least(asbr_check::Severity::Warning)
-        ));
+struct LintOpts {
+    files: Vec<String>,
+    json: bool,
+    deny: Severity,
+    threshold: u32,
+}
+
+fn cmd_lint(opts: &LintOpts) -> Result<(), Failure> {
+    let reports = if opts.files.is_empty() {
+        Workload::ALL
+            .iter()
+            .map(|w| lint_program(w.name(), &w.program(), opts.threshold))
+            .collect()
+    } else {
+        opts.files
+            .iter()
+            .map(|path| Ok(lint_program(path, &load_program(path)?, opts.threshold)))
+            .collect::<Result<Vec<_>, String>>()?
+    };
+    if opts.json {
+        let json: Vec<String> = reports.iter().map(asbr_check::Report::to_json).collect();
+        println!("[{}]", json.join(","));
+    } else {
+        for r in &reports {
+            print!("{}", r.render_text());
+        }
+    }
+    let denied: usize = reports.iter().map(|r| r.count_at_least(opts.deny)).sum();
+    if denied > 0 {
+        return Err(Failure::Check(format!(
+            "{denied} finding(s) at or above `{}` across {} program(s)",
+            opts.deny,
+            reports.len()
+        )));
     }
     Ok(())
 }
@@ -271,6 +334,23 @@ struct RunOpts {
     trace: u64,
 }
 
+/// Runs `prog` to completion on `pipe`, printing the pipeline diagram of
+/// each of the first `--trace` cycles (`Pipeline::execute` with a cycle
+/// loop in the middle).
+fn drive<H: SimHooks>(
+    pipe: &mut Pipeline<H>,
+    prog: &Program,
+    opts: &RunOpts,
+) -> Result<PipelineSummary, String> {
+    pipe.load(prog).map_err(|e| e.to_string())?;
+    pipe.feed_input(opts.input.iter().copied());
+    for _ in 0..opts.trace {
+        pipe.cycle().map_err(|e| e.to_string())?;
+        println!("{}", pipe.snapshot());
+    }
+    pipe.run().map_err(|e| e.to_string())
+}
+
 fn cmd_run(path: &str, opts: &RunOpts) -> Result<(), String> {
     let prog = load_program(path)?;
     let unit = if let Some(bytes) = &opts.image {
@@ -285,42 +365,18 @@ fn cmd_run(path: &str, opts: &RunOpts) -> Result<(), String> {
         None
     };
 
-    // Run with or without the customization; a `None` unit uses the plain
-    // pipeline so the fetch stage has no BIT lookups at all. The untraced
-    // path is a single `Pipeline::execute`; tracing needs the manual
-    // cycle loop.
+    // A `None` unit uses the plain pipeline, so the fetch stage has no BIT
+    // lookups at all.
     let (summary, folds) = match unit {
         Some(unit) => {
             let mut pipe =
                 Pipeline::with_hooks(PipelineConfig::default(), opts.predictor.build(), unit);
-            let s = if opts.trace == 0 {
-                pipe.execute(&prog, opts.input.iter().copied()).map_err(|e| e.to_string())?
-            } else {
-                pipe.load(&prog).map_err(|e| e.to_string())?;
-                pipe.feed_input(opts.input.iter().copied());
-                for _ in 0..opts.trace {
-                    pipe.cycle().map_err(|e| e.to_string())?;
-                    println!("{}", pipe.snapshot());
-                }
-                pipe.run().map_err(|e| e.to_string())?
-            };
-            let folds = pipe.hooks().stats().folds();
-            (s, Some(folds))
+            let summary = drive(&mut pipe, &prog, opts)?;
+            (summary, Some(pipe.hooks().stats().folds()))
         }
         None => {
             let mut pipe = Pipeline::new(PipelineConfig::default(), opts.predictor.build());
-            let s = if opts.trace == 0 {
-                pipe.execute(&prog, opts.input.iter().copied()).map_err(|e| e.to_string())?
-            } else {
-                pipe.load(&prog).map_err(|e| e.to_string())?;
-                pipe.feed_input(opts.input.iter().copied());
-                for _ in 0..opts.trace {
-                    pipe.cycle().map_err(|e| e.to_string())?;
-                    println!("{}", pipe.snapshot());
-                }
-                pipe.run().map_err(|e| e.to_string())?
-            };
-            (s, None)
+            (drive(&mut pipe, &prog, opts)?, None)
         }
     };
 
@@ -426,7 +482,17 @@ struct BenchOpts {
     check: Option<String>,
 }
 
-fn cmd_bench(opts: &BenchOpts) -> Result<(), String> {
+fn cmd_bench(opts: &BenchOpts) -> Result<(), Failure> {
+    // A golden that cannot be read or parsed is an error, not drift.
+    let golden = match &opts.check {
+        Some(path) => {
+            let text =
+                fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            ThroughputBench::parse_cycles(&text).map_err(|e| format!("{path}: {e}"))?;
+            Some((path, text))
+        }
+        None => None,
+    };
     let spec = ThroughputSpec::standard(opts.samples, opts.reps);
     println!(
         "host-throughput bench: {} runs at {} samples, best of {}",
@@ -456,11 +522,9 @@ fn cmd_bench(opts: &BenchOpts) -> Result<(), String> {
         bench.write(out).map_err(|e| format!("cannot write {out}: {e}"))?;
         println!("wrote {out}");
     }
-    if let Some(golden) = &opts.check {
-        let text =
-            fs::read_to_string(golden).map_err(|e| format!("cannot read {golden}: {e}"))?;
-        bench.check_against(&text)?;
-        println!("simulated cycle counts match {golden}");
+    if let Some((path, text)) = golden {
+        bench.check_against(&text).map_err(Failure::Check)?;
+        println!("simulated cycle counts match {path}");
     }
     Ok(())
 }
@@ -494,7 +558,7 @@ fn branch_verdicts(program: &Program, selected: &[u32], threshold: u32) -> Vec<S
         .collect()
 }
 
-fn cmd_wcet(opts: &WcetOpts) -> Result<(), String> {
+fn cmd_wcet(opts: &WcetOpts) -> Result<(), Failure> {
     use asbr_harness::attach_bound;
 
     let mut runs = Vec::new();
@@ -586,7 +650,10 @@ fn cmd_wcet(opts: &WcetOpts) -> Result<(), String> {
     if violations.is_empty() {
         Ok(())
     } else {
-        Err(format!("static bound below simulated cycles for: {}", violations.join(", ")))
+        Err(Failure::Check(format!(
+            "static bound below simulated cycles for: {}",
+            violations.join(", ")
+        )))
     }
 }
 
@@ -704,6 +771,382 @@ fn cmd_explore(opts: &ExploreOpts) -> Result<(), String> {
     Ok(())
 }
 
+/// The executor and input scale every table runs with.
+struct Tables {
+    executor: Executor,
+    samples: usize,
+    threads: usize,
+}
+
+/// One named table: runs, prints, and writes its `results/*.json`.
+type Table = fn(&Tables) -> Result<(), String>;
+
+/// The table called `name`, if there is one.
+fn table(name: &str) -> Option<Table> {
+    let table: Table = match name {
+        "fig6" => Tables::fig6,
+        "fig7" => |t| t.branch_table(Workload::G721Encode, "Figure 7"),
+        "fig9" => |t| t.branch_table(Workload::AdpcmEncode, "Figure 9"),
+        "fig10" => |t| t.branch_table(Workload::AdpcmDecode, "Figure 10"),
+        "fig11" => Tables::fig11,
+        "all" => |t| {
+            t.fig6()?;
+            t.branch_table(Workload::G721Encode, "Figure 7")?;
+            t.branch_table(Workload::G721Decode, "Figure 7b (decode)")?;
+            t.branch_table(Workload::AdpcmEncode, "Figure 9")?;
+            t.branch_table(Workload::AdpcmDecode, "Figure 10")?;
+            t.fig11()
+        },
+        "attribution" => Tables::attribution,
+        "sweep" => Tables::sweep,
+        "motivation" => Tables::motivation,
+        "fig6x" => Tables::fig6x,
+        "scope" => Tables::scope,
+        "power" => Tables::power,
+        "area" => Tables::area,
+        "ablation-banks" => Tables::ablation_banks,
+        "ablation-bit" => |t| t.per_workload(
+            "Ablation A: BIT capacity",
+            "ablation_bit",
+            |w, n| ablation::bit_size(w, n, &[1, 2, 4, 8, 16, 32]),
+            |p| format!(
+                "{:<14} {:<8} cycles {:>12} folds {:>10}",
+                p.workload, p.setting, p.cycles, p.folds
+            ),
+        ),
+        "ablation-threshold" => |t| t.per_workload(
+            "Ablation B: publish point / threshold (Sec. 5.2)",
+            "ablation_threshold",
+            ablation::publish_point,
+            |p| format!(
+                "{:<14} {:<24} cycles {:>12} folds {:>10} blocked {:>9}",
+                p.workload, p.setting, p.cycles, p.folds, p.blocked
+            ),
+        ),
+        "ablation-sched" => |t| t.per_workload(
+            "Ablation C: compiler scheduling support (Sec. 5.1)",
+            "ablation_sched",
+            ablation::scheduling,
+            |p| format!(
+                "{:<14} {:<12} cycles {:>12} folds {:>10}",
+                p.workload, p.setting, p.cycles, p.folds
+            ),
+        ),
+        "ablation-aux" => |t| t.per_workload(
+            "Ablation D: auxiliary predictor size (with same-size no-ASBR baseline)",
+            "ablation_aux",
+            |w, n| ablation::aux_size(w, n, &[64, 128, 256, 512, 1024, 2048]),
+            |p| format!(
+                "{:<14} bi-{:<5} asbr {:>12} baseline {:>12}",
+                p.workload, p.entries, p.asbr_cycles, p.baseline_cycles
+            ),
+        ),
+        "ablation-latency" => |t| t.per_workload(
+            "Ablation F: multiply/divide EX latency",
+            "ablation_latency",
+            |w, n| ablation::muldiv_latency(w, n, &[(1, 1), (2, 8), (4, 16), (8, 34)]),
+            |p| format!(
+                "{:<14} mul={:<2} div={:<2} baseline {:>12} asbr {:>12} gain {:>5.1}%",
+                p.workload,
+                p.latency.0,
+                p.latency.1,
+                p.baseline_cycles,
+                p.asbr_cycles,
+                gain(p.baseline_cycles, p.asbr_cycles)
+            ),
+        ),
+        "ablation-ras" => |t| t.per_workload(
+            "Ablation G: return-address stack",
+            "ablation_ras",
+            ablation::ras,
+            |p| format!(
+                "{:<14} ras={:<2} baseline {:>12} asbr {:>12} (baseline return flushes {})",
+                p.workload,
+                p.ras_entries,
+                p.baseline_cycles,
+                p.asbr_cycles,
+                p.baseline_indirect_flushes
+            ),
+        ),
+        "ablation-cache" => |t| t.per_workload(
+            "Ablation J: cache-size sensitivity",
+            "ablation_cache",
+            |w, n| ablation::cache_size(w, n, &[1024, 2048, 4096, 8192, 16384]),
+            |p| format!(
+                "{:<14} {:>5}B baseline {:>12} asbr {:>12} gain {:>5.1}%",
+                p.workload,
+                p.cache_bytes,
+                p.baseline_cycles,
+                p.asbr_cycles,
+                gain(p.baseline_cycles, p.asbr_cycles)
+            ),
+        ),
+        "ablation-family" => |t| t.per_workload(
+            "Ablation I: general-purpose predictor family study (no ASBR)",
+            "ablation_family",
+            ablation::predictor_family,
+            |r| format!(
+                "{:<14} {:<15} cycles {:>12}  acc {:>5.1}%  bits {:>6}",
+                r.workload,
+                r.predictor,
+                r.cycles,
+                r.accuracy * 100.0,
+                r.storage_bits
+            ),
+        ),
+        "ablation-static" => |t| t.per_workload(
+            "Ablation H: static (profile-free) vs profiled BIT selection",
+            "ablation_static",
+            ablation::static_selection,
+            |p| format!(
+                "{:<14} {:<9} cycles {:>12} folds {:>10} selected {:>2}",
+                p.workload, p.method, p.cycles, p.folds, p.selected
+            ),
+        ),
+        _ => return None,
+    };
+    Some(table)
+}
+
+/// Percent of the baseline's cycles that ASBR saves.
+fn gain(baseline_cycles: u64, asbr_cycles: u64) -> f64 {
+    (1.0 - asbr_cycles as f64 / baseline_cycles as f64) * 100.0
+}
+
+fn section(title: &str) {
+    println!("\n=== {title} ===");
+}
+
+fn save_json<T: ToJson + ?Sized>(name: &str, value: &T) {
+    let _ = fs::create_dir_all("results");
+    if let Err(e) = fs::write(format!("results/{name}.json"), value.to_json().pretty()) {
+        eprintln!("warning: could not write results/{name}.json: {e}");
+    }
+}
+
+impl Tables {
+    /// One ablation arm: runs `run` on every workload, prints each row
+    /// as `line` formats it, and saves all rows as `results/<file>.json`.
+    fn per_workload<T: ToJson>(
+        &self,
+        title: &str,
+        file: &str,
+        run: impl Fn(Workload, usize) -> Result<Vec<T>, HarnessError>,
+        line: impl Fn(&T) -> String,
+    ) -> Result<(), String> {
+        section(title);
+        let mut all = Vec::new();
+        for w in Workload::ALL {
+            let rows = run(w, self.samples).map_err(|e| e.to_string())?;
+            for row in &rows {
+                println!("{}", line(row));
+            }
+            all.extend(rows);
+        }
+        save_json(file, &all);
+        Ok(())
+    }
+
+    fn fig6(&self) -> Result<(), String> {
+        section("Figure 6: branch predictability of the benchmarks (baseline)");
+        let rows = fig6::table_with(&self.executor, self.samples).map_err(|e| e.to_string())?;
+        println!("{}", fig6::render(&rows));
+        save_json("fig6", &rows);
+        Ok(())
+    }
+
+    fn branch_table(&self, w: Workload, name: &str) -> Result<(), String> {
+        section(&format!("{name}: branches selected for {}", w.name()));
+        let t = branch_tables::table(w, self.samples, 16).map_err(|e| e.to_string())?;
+        println!("{}", branch_tables::render(&t));
+        save_json(&name.to_lowercase().replace(' ', "_"), &t);
+        Ok(())
+    }
+
+    fn fig11(&self) -> Result<(), String> {
+        section("Figure 11: application-specific branch resolution results");
+        let rows = fig11::table_with(&self.executor, self.samples, fig11::Config::default())
+            .map_err(|e| e.to_string())?;
+        println!("{}", fig11::render(&rows));
+        println!(
+            "(improvements compare not-taken vs baseline not-taken, bi-512/bi-256 vs baseline bimodal-2048, as in the paper)"
+        );
+        save_json("fig11", &rows);
+        Ok(())
+    }
+
+    fn attribution(&self) -> Result<(), String> {
+        section("Attribution: baseline -> ASBR cycle delta by bucket");
+        let rows =
+            attribution::table_with(&self.executor, self.samples).map_err(|e| e.to_string())?;
+        print!("{}", attribution::render(&rows));
+        println!(
+            "(bimodal-2048 baseline vs ASBR with bi-512 auxiliary; per-branch savings sum \
+             to ΔUseful + ΔBranchFlush by construction)"
+        );
+        save_json("attribution", &rows);
+        Ok(())
+    }
+
+    fn sweep(&self) -> Result<(), String> {
+        section("Sweep: Figure 6 + Figure 11 through the parallel cached engine");
+        let mut specs = fig6::space(self.samples, &PredictorKind::BASELINES).specs();
+        specs.extend(fig11::space(self.samples, fig11::Config::default()).specs());
+        let started = Instant::now();
+        let outcomes = self.executor.run(&specs).map_err(|e| e.to_string())?;
+        let total = started.elapsed();
+        let threads = if self.threads == 0 {
+            std::thread::available_parallelism().map_or(1, usize::from)
+        } else {
+            self.threads
+        };
+        let bench = SweepBench::from_runs(&specs, &outcomes, threads, total);
+        for r in &bench.runs {
+            println!(
+                "{:<36} cycles {:>12} wall {:>9.3}ms{}",
+                r.label,
+                r.cycles,
+                r.wall_nanos as f64 / 1e6,
+                if r.cached { "  [cached]" } else { "" }
+            );
+        }
+        println!(
+            "\n{} runs on {} threads in {:.3}s ({} cache hits, {} misses)",
+            bench.runs.len(),
+            threads,
+            total.as_secs_f64(),
+            bench.cache_hits(),
+            bench.cache_misses()
+        );
+        match bench.write("results/BENCH_sweep.json") {
+            Ok(()) => println!("wrote results/BENCH_sweep.json"),
+            Err(e) => eprintln!("warning: could not write BENCH_sweep.json: {e}"),
+        }
+        Ok(())
+    }
+
+    fn motivation(&self) -> Result<(), String> {
+        section("Motivation kernels (Figures 1 and 2)");
+        let n = self.samples.min(20_000);
+        for r in [motivation::fig2(n), motivation::fig1(n)] {
+            let r = r.map_err(|e| e.to_string())?;
+            println!("{}: focus branch executed {} times", r.kernel, r.exec);
+            for (name, acc) in &r.accuracy {
+                println!("  {name:<10} accuracy {:.2}", acc);
+            }
+            println!(
+                "  ASBR folds {} | cycles {} -> {} ({:+.1}%)",
+                r.folds,
+                r.baseline_cycles,
+                r.asbr_cycles,
+                gain(r.baseline_cycles, r.asbr_cycles)
+            );
+            save_json(
+                if r.kernel.contains('2') { "motivation_fig2" } else { "motivation_fig1" },
+                &r,
+            );
+        }
+        Ok(())
+    }
+
+    fn fig6x(&self) -> Result<(), String> {
+        section("Figure 6 extended: + tournament-2048 baseline");
+        let rows = fig6::extended_table(self.samples).map_err(|e| e.to_string())?;
+        for r in &rows {
+            println!(
+                "{:<14} {:<11} cycles {:>12}  CPI {:.2}  acc {:.0}%",
+                r.workload,
+                r.predictor,
+                r.cycles,
+                r.cpi,
+                r.accuracy * 100.0
+            );
+        }
+        save_json("fig6_extended", &rows);
+        Ok(())
+    }
+
+    fn scope(&self) -> Result<(), String> {
+        section("Scope extension: ASBR on additional control-dominated kernels");
+        let rows = scope::table(self.samples.min(5000)).map_err(|e| e.to_string())?;
+        for r in &rows {
+            println!(
+                "{:<24} baseline {:>10} asbr {:>10}  gain {:>5.1}%  folds {:>8}  selected {}  output {}",
+                r.kernel,
+                r.baseline_cycles,
+                r.asbr_cycles,
+                r.improvement * 100.0,
+                r.folds,
+                r.selected,
+                if r.output_ok { "exact" } else { "MISMATCH" }
+            );
+        }
+        save_json("scope", &rows);
+        Ok(())
+    }
+
+    fn power(&self) -> Result<(), String> {
+        section("Power accounting (paper Sec. 1 claim)");
+        let rows = costs::power_table(self.samples).map_err(|e| e.to_string())?;
+        for r in &rows {
+            println!(
+                "{:<14} baseline {:>14.0} asbr {:>14.0}  reduction {:>5.1}%  wrong-path slots {} -> {}",
+                r.workload,
+                r.baseline_energy,
+                r.asbr_energy,
+                r.reduction * 100.0,
+                r.baseline_squashed,
+                r.asbr_squashed
+            );
+        }
+        save_json("power_table", &rows);
+        Ok(())
+    }
+
+    fn area(&self) -> Result<(), String> {
+        section("Front-end storage (paper Sec. 6 area claim)");
+        let rows = costs::area_table().map_err(|e| e.to_string())?;
+        for r in &rows {
+            println!(
+                "{:<36} predictor {:>7}  btb {:>7}  asbr {:>6}  total {:>7} bits",
+                r.config, r.predictor_bits, r.btb_bits, r.asbr_bits, r.total()
+            );
+        }
+        save_json("area_table", &rows);
+        Ok(())
+    }
+
+    fn ablation_banks(&self) -> Result<(), String> {
+        section("Ablation E: BIT bank switching (Sec. 7)");
+        let iterations = u32::try_from(self.samples)
+            .map_err(|_| format!("{} samples do not fit a u32 iteration count", self.samples))?;
+        let (banked, single) =
+            ablation::bank_switching(iterations).map_err(|e| e.to_string())?;
+        println!("two banks: {banked} folds; single bank: {single} folds");
+        save_json("ablation_banks", &(banked, single));
+        Ok(())
+    }
+}
+
+fn cmd_tables(names: &[String], tables: &Tables) -> Result<(), String> {
+    let all = ["all".to_owned()];
+    let names = if names.is_empty() { &all[..] } else { names };
+    let runs = names
+        .iter()
+        .map(|name| table(name).map(|f| (name, f)).ok_or_else(|| format!("unknown table `{name}`")))
+        .collect::<Result<Vec<_>, String>>()?;
+    for (name, run) in runs {
+        let started = Instant::now();
+        run(tables).map_err(|e| format!("{name}: {e}"))?;
+        eprintln!(
+            "\n[{name} done in {:.1}s at {} samples]",
+            started.elapsed().as_secs_f64(),
+            tables.samples
+        );
+    }
+    Ok(())
+}
+
 fn parse_predictor(name: &str) -> Result<PredictorKind, String> {
     Ok(match name {
         "nottaken" | "not-taken" => PredictorKind::NotTaken,
@@ -715,7 +1158,9 @@ fn parse_predictor(name: &str) -> Result<PredictorKind, String> {
 }
 
 fn usage() -> String {
-    "usage: asbr_tool <asm|analyze|lint|customize|run> <file.s> [options]\n\
+    "usage: asbr_tool <asm|analyze|customize|run> <file.s> [options]\n\
+     \x20      asbr_tool lint [FILE.s ...] [--json] [--deny info|warn|error] [--threshold n]\n\
+     \x20      asbr_tool tables [TABLE ...] [--samples n] [--threads n] [--no-cache|--refresh]\n\
      \x20      asbr_tool trace <workload> [--samples n] [--out path] [--interval n] [--asbr]\n\
      \x20      asbr_tool bench [--samples n] [--reps n] [--out path]\n\
      \x20                      [--check golden.json]\n\
@@ -728,9 +1173,52 @@ fn usage() -> String {
         .to_owned()
 }
 
-fn real_main() -> Result<(), String> {
+fn real_main() -> Result<(), Failure> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().ok_or_else(usage)?;
+    if cmd == "tables" {
+        let mut common =
+            CommonOpts::accepting(&["--samples", "--threads", "--no-cache", "--refresh"]);
+        let mut names = Vec::new();
+        parse_flags(&args, 1, &mut common, |arg, _| {
+            if arg.starts_with('-') {
+                return Ok(false);
+            }
+            names.push(arg.to_owned());
+            Ok(true)
+        })?;
+        let tables = Tables {
+            executor: Executor::new()
+                .threads(common.threads)
+                .cache(common.cache_mode(ResultCache::default_root())?),
+            samples: common.samples.unwrap_or(SAMPLES_FULL),
+            threads: common.threads,
+        };
+        return Ok(cmd_tables(&names, &tables)?);
+    }
+    if cmd == "lint" {
+        let mut opts = LintOpts {
+            files: Vec::new(),
+            json: false,
+            deny: Severity::Error,
+            threshold: PublishPoint::Mem.threshold(),
+        };
+        parse_flags(&args, 1, &mut CommonOpts::accepting(&[]), |arg, cur| {
+            match arg {
+                "--json" => opts.json = true,
+                "--deny" => {
+                    let v = cur.value("--deny")?;
+                    opts.deny = Severity::parse(v)
+                        .ok_or_else(|| format!("bad --deny value `{v}` (info|warn|error)"))?;
+                }
+                "--threshold" => opts.threshold = cur.parse("--threshold")?,
+                file if !file.starts_with('-') => opts.files.push(file.to_owned()),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        return cmd_lint(&opts);
+    }
     if cmd == "bench" {
         let mut common = CommonOpts::accepting(&["--samples", "--out"]);
         let mut opts = BenchOpts {
@@ -802,17 +1290,16 @@ fn real_main() -> Result<(), String> {
             cache: common.cache_mode(ResultCache::default_root())?,
             out,
         };
-        return cmd_explore(&opts);
+        return Ok(cmd_explore(&opts)?);
     }
     let file = args.get(1).ok_or_else(usage)?;
-    match cmd.as_str() {
+    let done = match cmd.as_str() {
         "asm" => cmd_asm(file),
         "analyze" => cmd_analyze(file),
-        "lint" => cmd_lint(file),
         "customize" => {
             let out = match args.get(2).map(String::as_str) {
-                Some("-o") => args.get(3).ok_or("missing output path after -o")?,
-                _ => return Err(usage()),
+                Some("-o") => args.get(3).ok_or("missing output path after -o".to_owned())?,
+                _ => return Err(usage().into()),
             };
             cmd_customize(file, out)
         }
@@ -872,15 +1359,16 @@ fn real_main() -> Result<(), String> {
             cmd_trace(file, &opts)
         }
         _ => Err(usage()),
-    }
+    };
+    Ok(done?)
 }
 
 fn main() -> ExitCode {
-    match real_main() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("asbr_tool: {msg}");
-            ExitCode::from(2)
-        }
-    }
+    let (msg, code) = match real_main() {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Failure::Check(msg)) => (msg, 1),
+        Err(Failure::Error(msg)) => (msg, 2),
+    };
+    eprintln!("asbr_tool: {msg}");
+    ExitCode::from(code)
 }

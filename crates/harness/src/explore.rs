@@ -465,12 +465,15 @@ impl DesignSpace {
     }
 }
 
+/// The measurement a [`Metric`] applies to a finished run.
+type MetricFn = Arc<dyn Fn(&RunSpec, &RunOutcome) -> f64 + Send + Sync>;
+
 /// A named, thread-safe measurement over a finished run. Metrics are the
 /// shared currency of objectives and constraints.
 #[derive(Clone)]
 pub struct Metric {
     name: String,
-    f: Arc<dyn Fn(&RunSpec, &RunOutcome) -> f64 + Send + Sync>,
+    f: MetricFn,
 }
 
 impl fmt::Debug for Metric {

@@ -277,7 +277,7 @@ impl Default for SelectionConfig {
 /// predicate writer is still in flight declines to fold), so a branch
 /// whose predicate is occasionally defined too close to it is still safe
 /// to install. The static-distance property remains available through
-/// `asbr-lint` as the strict "always folds" certificate; here the
+/// `asbr_tool lint` as the strict "always folds" certificate; here the
 /// profiled dynamic fold fraction (`min_fold_fraction`) is the
 /// profitability filter that keeps rarely-foldable branches out of the
 /// BIT. Returns the selected branch PCs, best first.

@@ -156,6 +156,68 @@ fn bad_usage_exits_nonzero() {
 }
 
 #[test]
+fn lint_cli_passes_on_workloads() {
+    let out = tool().args(["lint", "--deny", "warn"]).output().unwrap();
+    assert!(
+        out.status.success(),
+        "stdout:\n{}\nstderr:\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = tool().args(["lint", "--json", "--deny", "warn"]).output().unwrap();
+    assert!(json.status.success());
+    let text = String::from_utf8_lossy(&json.stdout);
+    assert!(text.starts_with('['), "{text}");
+    assert!(text.contains("\"name\":"), "{text}");
+}
+
+#[test]
+fn a_failed_check_exits_1_and_bad_usage_exits_2() {
+    // The bundled workloads carry info notes, so denying info fails the check.
+    let out = tool().args(["lint", "--deny", "info"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    // A golden that pins a run this bench does not make is drift; one that
+    // does not parse is an error.
+    let drift =
+        tempfile::NamedTempPath::with_contents(r#"{"entries": [{"label": "x", "cycles": 1}]}"#);
+    let bad = tempfile::NamedTempPath::with_contents("{bad");
+    let bench = |golden: &tempfile::NamedTempPath| {
+        let args = ["bench", "--samples", "40", "--reps", "1", "--check"];
+        tool().args(args).arg(golden.path()).output().unwrap()
+    };
+    let out = bench(&drift);
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(bench(&bad).status.code(), Some(2));
+    for args in [
+        &["lint", "--bogus"][..],
+        &["tables", "nosuch"],
+        &["tables", "fig6", "--samples", "4x0"],
+    ] {
+        let out = tool().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn tables_prints_the_figure_and_writes_its_json() {
+    let dir = std::env::temp_dir().join(format!("asbr-cli-tables-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = tool()
+        .args(["tables", "fig6", "--samples", "40", "--no-cache"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let written = std::fs::read_to_string(dir.join("results/fig6.json"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("=== Figure 6"), "{text}");
+    let rows = asbr_harness::json::parse(&written.unwrap()).unwrap();
+    assert!(rows.as_arr().is_some_and(|r| !r.is_empty()), "{rows:?}");
+}
+
+#[test]
 fn explore_reports_host_provenance_without_a_path() {
     let out_path = tempfile::NamedTempPath::with_contents("");
     // An empty `PATH`: the compiler version and the git revision must not

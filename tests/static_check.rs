@@ -7,34 +7,20 @@
 
 use asbr_asm::{assemble, Program};
 use asbr_check::{
-    check_folds, check_program, check_schedule, prove_entry, validate_schedule, Report,
-    Severity,
+    check_folds, check_program, check_schedule, lint_program, prove_entry, validate_schedule,
+    Report, Severity,
 };
 use asbr_core::BitEntry;
 use asbr_flow::schedule::hoist_predicates;
-use asbr_flow::{select_static, Cfg};
+use asbr_flow::Cfg;
 use asbr_sim::{Interp, PublishPoint};
 use asbr_testgen::Rng;
 use asbr_workloads::Workload;
 
-/// The full battery `asbr-lint` runs per program.
-fn full_report(name: &str, program: &Program) -> Report {
-    let threshold = PublishPoint::Mem.threshold();
-    let mut report = check_program(name, program);
-    let entries: Vec<BitEntry> = select_static(program, threshold, 16)
-        .iter()
-        .filter_map(|p| BitEntry::from_program(program, p.candidate.pc).ok())
-        .collect();
-    check_folds(&mut report, program, &entries, threshold);
-    let (hoisted, _) = hoist_predicates(program);
-    check_schedule(&mut report, program, &hoisted);
-    report
-}
-
 #[test]
 fn all_bundled_workloads_lint_clean_at_warn() {
     for w in Workload::ALL {
-        let report = full_report(w.name(), &w.program());
+        let report = lint_program(w.name(), &w.program(), PublishPoint::Mem.threshold());
         assert_eq!(
             report.count_at_least(Severity::Warning),
             0,
@@ -42,33 +28,6 @@ fn all_bundled_workloads_lint_clean_at_warn() {
             report.render_text()
         );
     }
-}
-
-#[test]
-fn lint_cli_passes_on_workloads() {
-    // Only runnable under cargo, which points this env var at the built
-    // binary; the rustc-only fallback harness skips it.
-    let Some(bin) = option_env!("CARGO_BIN_EXE_asbr-lint") else {
-        return;
-    };
-    let out = std::process::Command::new(bin)
-        .args(["--deny", "warn"])
-        .output()
-        .expect("spawn asbr-lint");
-    assert!(
-        out.status.success(),
-        "stdout:\n{}\nstderr:\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json = std::process::Command::new(bin)
-        .args(["--json", "--deny", "warn"])
-        .output()
-        .expect("spawn asbr-lint --json");
-    assert!(json.status.success());
-    let text = String::from_utf8_lossy(&json.stdout);
-    assert!(text.starts_with('['), "{text}");
-    assert!(text.contains("\"name\":"), "{text}");
 }
 
 #[test]
@@ -264,8 +223,9 @@ fn interval_domain_bounds_every_retired_write_on_random_programs() {
 }
 
 // ---------------------------------------------------------------------
-// Golden: the asbr-lint JSON report schema. Tools parse this output, so
-// key names, nesting, and optional-field behaviour are pinned exactly.
+// Golden: the `asbr_tool lint --json` report schema. Tools parse this
+// output, so key names, nesting, and optional-field behaviour are pinned
+// exactly.
 // Regenerate tests/goldens/lint_report.json only on a deliberate schema
 // change, and note it in docs/analysis.md.
 // ---------------------------------------------------------------------
@@ -294,6 +254,6 @@ fn lint_json_schema_matches_the_golden() {
     assert_eq!(
         r.to_json(),
         golden.trim_end(),
-        "asbr-lint JSON schema drifted from tests/goldens/lint_report.json"
+        "lint JSON schema drifted from tests/goldens/lint_report.json"
     );
 }
