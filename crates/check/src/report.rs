@@ -1,9 +1,7 @@
-//! Diagnostics: severity levels, source locations, and rendering as text
-//! or JSON.
-//!
-//! The JSON encoder is hand-rolled (the diagnostic schema is four flat
-//! scalar fields) so the verifier stays dependency-free and usable from
-//! build scripts and CI without pulling a serialisation stack.
+//! Diagnostics: severity levels, source locations, and rendering as
+//! text. The JSON form (`asbr_tool lint --json`) is asbr-harness's
+//! `ToJson` impl, rendered by `asbr_harness::json`, the workspace's one
+//! codec.
 
 use core::fmt;
 
@@ -175,60 +173,6 @@ impl Report {
         );
         out
     }
-
-    /// Renders the report as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(out, "{{\"name\":{},\"diagnostics\":[", json_string(&self.name));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"code\":{},\"severity\":{}",
-                json_string(d.code),
-                json_string(d.severity.label())
-            );
-            if let Some(pc) = d.pc {
-                let _ = write!(out, ",\"pc\":{pc}");
-            }
-            if let Some(line) = d.line {
-                let _ = write!(out, ",\"line\":{line}");
-            }
-            if let Some(sym) = &d.symbol {
-                let _ = write!(out, ",\"symbol\":{}", json_string(sym));
-            }
-            let _ = write!(out, ",\"message\":{}}}", json_string(&d.message));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Encodes `s` as a JSON string literal.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -267,15 +211,5 @@ mod tests {
         assert_eq!(r.count_at_least(Severity::Warning), 1);
         assert_eq!(r.count_at_least(Severity::Info), 2);
         assert!(r.render_text().contains("1 warning(s)"));
-    }
-
-    #[test]
-    fn json_escapes_and_shapes() {
-        let mut r = Report::new("a \"b\"");
-        r.push(Diagnostic::global("X001", Severity::Error, "line1\nline2".into()));
-        let j = r.to_json();
-        assert!(j.starts_with("{\"name\":\"a \\\"b\\\"\""), "{j}");
-        assert!(j.contains("\"message\":\"line1\\nline2\""), "{j}");
-        assert!(j.contains("\"severity\":\"error\""), "{j}");
     }
 }

@@ -86,13 +86,13 @@ use std::time::Instant;
 
 use asbr_asm::{assemble, Program};
 use asbr_bpred::PredictorKind;
-use asbr_check::{lint_program, Severity};
+use asbr_check::{lint_program, CycleBound, Severity};
 use asbr_core::{decode_image, encode_image, AsbrConfig, AsbrUnit};
 use asbr_experiments::{
     ablation, attribution, branch_tables, costs, fig11, fig6, motivation, scope,
 };
 use asbr_flow::{call_aware_depths, candidates, select_static, Cfg};
-use asbr_harness::json::ToJson;
+use asbr_harness::json::{self, ToJson};
 use asbr_harness::{
     Axis, CacheMode, Constraint, CostModel, DesignSpace, Executor, Exploration, HarnessError,
     Metric, Objective, ResultCache, RunSpec, SearchStrategy, SweepBench, ThroughputBench,
@@ -289,8 +289,7 @@ fn cmd_lint(opts: &LintOpts) -> Result<(), Failure> {
             .collect::<Result<Vec<_>, String>>()?
     };
     if opts.json {
-        let json: Vec<String> = reports.iter().map(asbr_check::Report::to_json).collect();
-        println!("[{}]", json.join(","));
+        println!("{}", reports.to_json().compact());
     } else {
         for r in &reports {
             print!("{}", r.render_text());
@@ -519,7 +518,7 @@ fn cmd_bench(opts: &BenchOpts) -> Result<(), Failure> {
         println!("warning: {warning}");
     }
     if let Some(out) = &opts.out {
-        bench.write(out).map_err(|e| format!("cannot write {out}: {e}"))?;
+        json::write(out, &bench).map_err(|e| e.to_string())?;
         println!("wrote {out}");
     }
     if let Some((path, text)) = golden {
@@ -534,36 +533,70 @@ struct WcetOpts {
     out: String,
 }
 
-/// Per-branch prover verdicts for one ASBR run's selection: whether the
-/// def→use distance argument alone discharges the fold obligation, and
-/// whether the interval domain's range-constant argument does. A branch
-/// with `range && !distance` is exactly one the interval-extended prover
-/// admits where `min_def_distance` cannot.
-fn branch_verdicts(program: &Program, selected: &[u32], threshold: u32) -> Vec<String> {
+/// One selected branch's prover verdicts: whether the def→use distance
+/// argument alone discharges the fold obligation, and whether the
+/// interval domain's range-constant argument does. A branch with
+/// `range_provable && !distance_provable` is exactly one the
+/// interval-extended prover admits where `min_def_distance` cannot.
+struct BranchVerdict {
+    pc: u32,
+    min_distance: u32,
+    distance_provable: bool,
+    range_provable: bool,
+}
+
+asbr_harness::impl_to_json!(BranchVerdict { pc, min_distance, distance_provable, range_provable });
+
+/// The verdicts for every branch of one run's selection.
+fn branch_verdicts(program: &Program, selected: &[u32], threshold: u32) -> Vec<BranchVerdict> {
     let cfg = Cfg::build(program);
     let ranges = asbr_check::ValueRanges::compute(program, &cfg);
     selected
         .iter()
         .map(|&pc| {
-            let (dist, distance_ok) = asbr_core::BitEntry::from_program(program, pc)
-                .ok()
-                .and_then(|e| asbr_check::prove_entry(program, &cfg, &e, threshold).ok())
-                .map_or((0, false), |p| (p.min_distance, p.min_distance >= threshold));
-            let range_ok = asbr_check::branch_is_range_provable(program, &ranges, pc);
-            format!(
-                "{{\"pc\": {pc}, \"min_distance\": {dist}, \
-                 \"distance_provable\": {distance_ok}, \"range_provable\": {range_ok}}}"
-            )
+            let (min_distance, distance_provable) =
+                asbr_core::BitEntry::from_program(program, pc)
+                    .ok()
+                    .and_then(|e| asbr_check::prove_entry(program, &cfg, &e, threshold).ok())
+                    .map_or((0, false), |p| (p.min_distance, p.min_distance >= threshold));
+            let range_provable = asbr_check::branch_is_range_provable(program, &ranges, pc);
+            BranchVerdict { pc, min_distance, distance_provable, range_provable }
         })
         .collect()
 }
+
+/// One run of the WCET report.
+struct WcetRun {
+    label: String,
+    cycles: u64,
+    bound: u64,
+    tightness: f64,
+    instructions: u64,
+    buckets: CycleBound,
+    credited: Vec<u32>,
+    selected: Vec<u32>,
+    branches: Vec<BranchVerdict>,
+}
+
+asbr_harness::impl_to_json!(WcetRun {
+    label, cycles, bound, tightness, instructions, buckets, credited, selected, branches
+});
+
+/// The `asbr_tool wcet` report (schema `asbr-wcet v1`).
+struct WcetReport {
+    schema: &'static str,
+    samples: usize,
+    range_only_provable_branches: usize,
+    runs: Vec<WcetRun>,
+}
+
+asbr_harness::impl_to_json!(WcetReport { schema, samples, range_only_provable_branches, runs });
 
 fn cmd_wcet(opts: &WcetOpts) -> Result<(), Failure> {
     use asbr_harness::attach_bound;
 
     let mut runs = Vec::new();
     let mut violations = Vec::new();
-    let mut range_only = 0u32;
     println!(
         "{:<34} {:>11} {:>12} {:>9} {:>8}",
         "run", "cycles", "bound", "tight", "credited"
@@ -594,51 +627,31 @@ fn cmd_wcet(opts: &WcetOpts) -> Result<(), Failure> {
             violations.push(rec.label.clone());
         }
         let threshold = spec.asbr.map_or(3, |k| k.publish.threshold());
-        let program = spec.program();
-        let verdicts = branch_verdicts(&program, &out.selected, threshold);
-        range_only += verdicts.iter().filter(|v| {
-            v.contains("\"distance_provable\": false") && v.contains("\"range_provable\": true")
-        }).count() as u32;
-        let b = &rec.bound;
-        runs.push(format!(
-            "    {{\n      \"label\": \"{}\",\n      \"cycles\": {},\n      \"bound\": {},\n      \
-             \"tightness\": {:.4},\n      \"instructions\": {},\n      \"buckets\": {{\
-             \"useful\": {}, \"fill_drain\": {}, \"branch_flush\": {}, \"jump_redirect\": {}, \
-             \"indirect_flush\": {}, \"load_use\": {}, \"ex_occupancy\": {}, \
-             \"dcache_stall\": {}, \"icache_stall\": {}}},\n      \"credited\": [{}],\n      \
-             \"selected\": [{}],\n      \"branches\": [{}]\n    }}",
-            asbr_harness::json::escape(&rec.label),
-            rec.cycles,
-            b.total(),
-            rec.tightness(),
-            rec.instructions,
-            b.useful,
-            b.fill_drain,
-            b.branch_flush,
-            b.jump_redirect,
-            b.indirect_flush,
-            b.load_use,
-            b.ex_occupancy,
-            b.dcache_stall,
-            b.icache_stall,
-            rec.credited.iter().map(ToString::to_string).collect::<Vec<_>>().join(", "),
-            out.selected.iter().map(ToString::to_string).collect::<Vec<_>>().join(", "),
-            verdicts.join(", "),
-        ));
+        let branches = branch_verdicts(&spec.program(), &out.selected, threshold);
+        runs.push(WcetRun {
+            bound: rec.bound.total(),
+            tightness: rec.tightness(),
+            label: rec.label,
+            cycles: rec.cycles,
+            instructions: rec.instructions,
+            buckets: rec.bound,
+            credited: rec.credited,
+            selected: out.selected,
+            branches,
+        });
     }
-    let json = format!(
-        "{{\n  \"schema\": \"asbr-wcet v1\",\n  \"samples\": {},\n  \
-         \"range_only_provable_branches\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        opts.samples,
-        range_only,
-        runs.join(",\n"),
-    );
-    if let Some(dir) = Path::new(&opts.out).parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
-    fs::write(&opts.out, json).map_err(|e| format!("cannot write {}: {e}", opts.out))?;
+    let range_only = runs
+        .iter()
+        .flat_map(|r| &r.branches)
+        .filter(|v| v.range_provable && !v.distance_provable)
+        .count();
+    let report = WcetReport {
+        schema: "asbr-wcet v1",
+        samples: opts.samples,
+        range_only_provable_branches: range_only,
+        runs,
+    };
+    json::write(&opts.out, &report).map_err(|e| e.to_string())?;
     println!("wrote {}", opts.out);
     if range_only > 0 {
         println!("{range_only} selected branch(es) provable by value range only");
@@ -766,7 +779,7 @@ fn cmd_explore(opts: &ExploreOpts) -> Result<(), String> {
     let executor = Executor::new().threads(opts.threads).cache(opts.cache.clone());
     let report = exploration.run(&executor).map_err(|e| e.to_string())?;
     print!("{}", report.render());
-    report.write(&opts.out).map_err(|e| e.to_string())?;
+    json::write(&opts.out, &report).map_err(|e| e.to_string())?;
     println!("wrote {}", opts.out);
     Ok(())
 }
@@ -918,9 +931,8 @@ fn section(title: &str) {
 }
 
 fn save_json<T: ToJson + ?Sized>(name: &str, value: &T) {
-    let _ = fs::create_dir_all("results");
-    if let Err(e) = fs::write(format!("results/{name}.json"), value.to_json().pretty()) {
-        eprintln!("warning: could not write results/{name}.json: {e}");
+    if let Err(e) = json::write(format!("results/{name}.json"), value) {
+        eprintln!("warning: {e}");
     }
 }
 
@@ -1018,9 +1030,9 @@ impl Tables {
             bench.cache_hits(),
             bench.cache_misses()
         );
-        match bench.write("results/BENCH_sweep.json") {
+        match json::write("results/BENCH_sweep.json", &bench) {
             Ok(()) => println!("wrote results/BENCH_sweep.json"),
-            Err(e) => eprintln!("warning: could not write BENCH_sweep.json: {e}"),
+            Err(e) => eprintln!("warning: {e}"),
         }
         Ok(())
     }

@@ -1,8 +1,5 @@
 //! Sweep benchmarking: per-run wall-clock and simulated cycles, emitted
-//! as `BENCH_sweep.json`.
-//!
-//! The JSON is rendered by hand — the harness has no serialization
-//! dependency — against a fixed schema:
+//! as `BENCH_sweep.json` through [`crate::json::write`]:
 //!
 //! ```json
 //! {
@@ -11,30 +8,43 @@
 //!   "wall_nanos_total": 123456789,
 //!   "cache_hits": 12,
 //!   "cache_misses": 12,
-//!   "runs": [ { "label": "...", "workload": "...", "predictor": "...",
-//!               "asbr": true, "samples": 400, "cycles": 100, "folds": 3,
-//!               "wall_nanos": 42, "cached": false,
-//!               "attribution": { "useful": 80, "fill_drain": 4, ... } }, ... ]
+//!   "runs": [
+//!     {
+//!       "label": "ADPCM Encode/bimodal/baseline",
+//!       "workload": "ADPCM Encode",
+//!       "predictor": "bimodal",
+//!       "asbr": false,
+//!       "samples": 400,
+//!       "cycles": 100,
+//!       "folds": 0,
+//!       "wall_nanos": 42,
+//!       "cached": false,
+//!       "attribution": {
+//!         "useful": 80,
+//!         "fill_drain": 4,
+//!         ...
+//!       }
+//!     },
+//!     ...
+//!   ]
 //! }
 //! ```
 //!
 //! The `attribution` object carries one key per [`CycleBucket`] (in
 //! [`CycleBucket::ALL`] order); the values partition `cycles` exactly.
 
-use std::fs;
-use std::io;
-use std::path::Path;
 use std::time::Duration;
 
 use asbr_sim::{CycleBucket, NUM_BUCKETS};
 
+use crate::json::{ToJson, Value};
 use crate::spec::{RunOutcome, RunSpec};
 
 /// Schema tag written into the JSON. v2 adds per-run `attribution`.
 pub const BENCH_SCHEMA: &str = "asbr-sweep-bench-v2";
 
 /// One run's record in the sweep benchmark.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BenchEntry {
     /// Human label of the spec (`workload/predictor/mode`).
     pub label: String,
@@ -119,68 +129,46 @@ impl SweepBench {
     pub fn cache_misses(&self) -> usize {
         self.runs.len() - self.cache_hits()
     }
+}
 
-    /// Renders the benchmark as pretty-printed JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.runs.len() * 192);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": {},\n", json_str(BENCH_SCHEMA)));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!("  \"wall_nanos_total\": {},\n", self.wall_nanos_total));
-        s.push_str(&format!("  \"cache_hits\": {},\n", self.cache_hits()));
-        s.push_str(&format!("  \"cache_misses\": {},\n", self.cache_misses()));
-        s.push_str("  \"runs\": [");
-        for (i, r) in self.runs.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let mut attr = String::with_capacity(NUM_BUCKETS * 24);
-            for (bi, b) in CycleBucket::ALL.iter().enumerate() {
-                if bi > 0 {
-                    attr.push_str(", ");
-                }
-                attr.push_str(&format!("{}: {}", json_str(b.name()), r.attribution[bi]));
-            }
-            s.push_str(&format!(
-                "    {{ \"label\": {}, \"workload\": {}, \"predictor\": {}, \
-                 \"asbr\": {}, \"samples\": {}, \"cycles\": {}, \"folds\": {}, \
-                 \"wall_nanos\": {}, \"cached\": {}, \"attribution\": {{ {} }} }}",
-                json_str(&r.label),
-                json_str(&r.workload),
-                json_str(&r.predictor),
-                r.asbr,
-                r.samples,
-                r.cycles,
-                r.folds,
-                r.wall_nanos,
-                r.cached,
-                attr,
-            ));
-        }
-        s.push_str("\n  ]\n}\n");
-        s
-    }
-
-    /// Writes the JSON to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        fs::write(path, self.to_json())
+impl ToJson for BenchEntry {
+    fn to_json(&self) -> Value {
+        let BenchEntry {
+            label, workload, predictor, asbr, samples, cycles, folds, wall_nanos, cached, attribution,
+        } = self;
+        let buckets = CycleBucket::ALL.iter().zip(attribution);
+        Value::obj([
+            ("label", label.to_json()),
+            ("workload", workload.to_json()),
+            ("predictor", predictor.to_json()),
+            ("asbr", asbr.to_json()),
+            ("samples", samples.to_json()),
+            ("cycles", cycles.to_json()),
+            ("folds", folds.to_json()),
+            ("wall_nanos", wall_nanos.to_json()),
+            ("cached", cached.to_json()),
+            ("attribution", Value::obj(buckets.map(|(b, n)| (b.name(), n.to_json())))),
+        ])
     }
 }
 
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", crate::json::escape(s))
+impl ToJson for SweepBench {
+    fn to_json(&self) -> Value {
+        Value::obj([
+            ("schema", BENCH_SCHEMA.to_json()),
+            ("threads", self.threads.to_json()),
+            ("wall_nanos_total", self.wall_nanos_total.to_json()),
+            ("cache_hits", self.cache_hits().to_json()),
+            ("cache_misses", self.cache_misses().to_json()),
+            ("runs", self.runs.to_json()),
+        ])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use asbr_bpred::PredictorKind;
     use asbr_workloads::Workload;
 
@@ -196,22 +184,28 @@ mod tests {
         bench.runs[1].cached = true;
         assert_eq!(bench.cache_hits(), 1);
         assert_eq!(bench.cache_misses(), 1);
-        let json = bench.to_json();
-        assert!(json.contains("\"schema\": \"asbr-sweep-bench-v2\""));
-        assert!(json.contains("\"cache_hits\": 1"));
-        assert!(json.contains("\"asbr\": true"));
-        assert_eq!(json.matches("\"label\"").count(), 2);
-        assert_eq!(json.matches("\"attribution\"").count(), 2);
-        assert!(json.contains("\"useful\": "));
+        let doc = json::parse(&bench.to_json().pretty()).unwrap();
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some(BENCH_SCHEMA));
+        assert_eq!(doc.get("cache_hits").and_then(Value::as_u64), Some(1));
+        let runs = doc.get("runs").and_then(Value::as_arr).unwrap();
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[1].get("asbr").and_then(Value::as_bool), Some(true));
         // Buckets must partition cycles in the serialized record too.
-        for (r, out) in bench.runs.iter().zip(&outcomes) {
-            assert_eq!(r.attribution.iter().sum::<u64>(), out.cycles());
+        for (r, out) in runs.iter().zip(&outcomes) {
+            let Some(Value::Obj(buckets)) = r.get("attribution") else { panic!("{r:?}") };
+            assert_eq!(buckets[0].0, "useful");
+            let total: u64 = buckets.iter().map(|(_, n)| n.as_u64().unwrap()).sum();
+            assert_eq!(total, out.cycles());
         }
     }
 
     #[test]
     fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        let label = "a\"b\\c\nd\u{1}";
+        let entry = BenchEntry { label: label.to_owned(), ..BenchEntry::default() };
+        let text = entry.to_json().pretty();
+        assert!(text.contains(r#""label": "a\"b\\c\nd\u0001""#), "{text}");
+        let doc = json::parse(&text).unwrap();
+        assert_eq!(doc.get("label").and_then(Value::as_str), Some(label));
     }
 }

@@ -31,7 +31,7 @@ use asbr_core::AsbrConfig;
 use asbr_sim::Activity;
 
 use crate::error::HarnessError;
-use crate::json::{self, Value};
+use crate::json::{self, ToJson, Value};
 use crate::spec::{RunOutcome, RunSpec};
 
 /// Schema tag of `results/area.json`.
@@ -220,66 +220,38 @@ impl CostModel {
         Ok(model)
     }
 
-    /// Renders `dir/area.json` and `dir/power.json` from this model (the
+    /// Writes `dir/area.json` and `dir/power.json` from this model (the
     /// files [`CostModel::load`] reads back).
     ///
     /// # Errors
     ///
-    /// [`HarnessError::CacheIo`] when the directory or files cannot be
+    /// [`HarnessError::Write`] when the directory or files cannot be
     /// written.
     pub fn write(&self, dir: &Path) -> Result<(), HarnessError> {
-        fs::create_dir_all(dir)
-            .map_err(|e| HarnessError::cache_io("store", dir.display().to_string(), &e))?;
-        let area = self.area_json();
-        let power = self.power_json();
-        for (name, text) in [("area.json", area), ("power.json", power)] {
-            let path = dir.join(name);
-            fs::write(&path, text)
-                .map_err(|e| HarnessError::cache_io("store", path.display().to_string(), &e))?;
-        }
-        Ok(())
-    }
-
-    /// The `area.json` document for this model.
-    #[must_use]
-    pub fn area_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"{AREA_SCHEMA}\",\n  \
-             \"per_predictor_bit\": {},\n  \"per_btb_bit\": {},\n  \"per_asbr_bit\": {}\n}}\n",
-            float(self.area.per_predictor_bit),
-            float(self.area.per_btb_bit),
-            float(self.area.per_asbr_bit),
-        )
-    }
-
-    /// The `power.json` document for this model.
-    #[must_use]
-    pub fn power_json(&self) -> String {
-        let e = &self.energy;
-        format!(
-            "{{\n  \"schema\": \"{POWER_SCHEMA}\",\n  \
-             \"per_fetch\": {},\n  \"per_decode\": {},\n  \"per_execute\": {},\n  \
-             \"per_mem_op\": {},\n  \"per_reg_write\": {},\n  \
-             \"per_table_access\": {},\n  \"per_sqrt_bit\": {}\n}}\n",
-            float(e.per_fetch),
-            float(e.per_decode),
-            float(e.per_execute),
-            float(e.per_mem_op),
-            float(e.per_reg_write),
-            float(e.per_table_access),
-            float(e.per_sqrt_bit),
-        )
+        json::write(dir.join("area.json"), &document(AREA_SCHEMA, &self.area))?;
+        json::write(dir.join("power.json"), &document(POWER_SCHEMA, &self.energy))
     }
 }
 
-/// Renders a float so it parses back exactly and never as an integer
-/// shortcut that loses the decimal point.
-fn float(x: f64) -> String {
-    if x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{x:.1}")
-    } else {
-        format!("{x}")
+crate::impl_to_json!(EnergyModel {
+    per_fetch,
+    per_decode,
+    per_execute,
+    per_mem_op,
+    per_reg_write,
+    per_table_access,
+    per_sqrt_bit,
+});
+
+crate::impl_to_json!(AreaModel { per_predictor_bit, per_btb_bit, per_asbr_bit });
+
+/// A model file: the `schema` tag, then the model's fields.
+fn document(schema: &str, model: &impl ToJson) -> Value {
+    let mut fields = vec![("schema".to_owned(), schema.to_json())];
+    if let Value::Obj(model) = model.to_json() {
+        fields.extend(model);
     }
+    Value::Obj(fields)
 }
 
 fn read_optional(path: &Path) -> Result<Option<String>, HarnessError> {
@@ -383,6 +355,14 @@ mod tests {
         // `asbr_tool explore` loads `results/` from the repository root.
         let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
         assert_eq!(CostModel::load(dir).unwrap(), CostModel::default());
+        // And the default model writes them back byte for byte.
+        let out = std::env::temp_dir().join(format!("asbr-cost-write-{}", std::process::id()));
+        CostModel::default().write(&out).unwrap();
+        for name in ["area.json", "power.json"] {
+            let read = |d: &Path| fs::read_to_string(d.join(name)).unwrap();
+            assert_eq!(read(&out), read(dir), "{name}");
+        }
+        let _ = fs::remove_dir_all(&out);
     }
 
     #[test]
@@ -416,8 +396,10 @@ mod tests {
             energy: EnergyModel { per_fetch: 7.25, ..EnergyModel::default() },
             area: AreaModel { per_btb_bit: 0.5, ..AreaModel::default() },
         };
-        assert_eq!(parse_area(&model.area_json()).unwrap(), model.area);
-        assert_eq!(parse_power(&model.power_json()).unwrap(), model.energy);
+        let area = document(AREA_SCHEMA, &model.area).pretty();
+        assert_eq!(parse_area(&area).unwrap(), model.area);
+        let power = document(POWER_SCHEMA, &model.energy).pretty();
+        assert_eq!(parse_power(&power).unwrap(), model.energy);
     }
 
     #[test]

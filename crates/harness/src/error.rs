@@ -1,10 +1,10 @@
 //! The one public error type of the harness.
 //!
 //! Every fallible harness entry point — [`crate::RunSpec::execute`], the
-//! [`crate::Executor`] batch API, exploration, the cost model loader and
-//! the result cache — returns [`HarnessError`]. A single enum carries the
-//! failure and every variant renders a one-line human message via
-//! [`std::fmt::Display`].
+//! [`crate::Executor`] batch API, exploration, the cost model loader, the
+//! result cache and [`crate::json::write`] — returns [`HarnessError`]. A
+//! single enum carries the failure and every variant renders a one-line
+//! human message via [`std::fmt::Display`].
 //!
 //! The type is `Clone` by construction (I/O errors are captured as kind +
 //! message) because one simulated machine's result fans out to every job
@@ -46,6 +46,14 @@ pub enum HarnessError {
         /// What was wrong there.
         message: String,
     },
+    /// An artifact could not be written: its directory could not be
+    /// created or the file itself could not be written.
+    Write {
+        /// The failing path.
+        path: String,
+        /// Rendered message of the underlying error.
+        message: String,
+    },
     /// An input is semantically invalid: a cost model or throughput
     /// golden with a missing field, a wrong schema tag or an unrecognized
     /// key, or an exploration with no objectives or no points.
@@ -81,6 +89,7 @@ impl fmt::Display for HarnessError {
             HarnessError::CacheEntry { line, message } => {
                 write!(f, "corrupt cache entry at line {line}: {message}")
             }
+            HarnessError::Write { path, message } => write!(f, "cannot write {path}: {message}"),
             HarnessError::Spec(msg) => write!(f, "invalid spec: {msg}"),
             HarnessError::SpecParse { line, col, message } => {
                 write!(f, "spec parse error at line {line}, column {col}: {message}")

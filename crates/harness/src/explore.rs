@@ -29,8 +29,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::fs;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -42,10 +40,8 @@ use crate::cost::CostModel;
 use crate::error::HarnessError;
 use crate::executor::Executor;
 use crate::host::HostInfo;
-use crate::json;
-use crate::spec::{
-    spec_to_json, AsbrSpec, MicroTweaks, RunOutcome, RunSpec, AUX_BTB, BASELINE_BTB,
-};
+use crate::json::{ToJson, Value};
+use crate::spec::{AsbrSpec, MicroTweaks, RunOutcome, RunSpec, AUX_BTB, BASELINE_BTB};
 
 /// Schema tag of the `PARETO_*.json` artifact.
 pub const PARETO_SCHEMA: &str = "asbr-pareto v1";
@@ -829,81 +825,38 @@ impl ExploreReport {
         ));
         out
     }
+}
 
-    /// The `PARETO_*.json` document (schema [`PARETO_SCHEMA`]).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let names: Vec<String> =
-            self.objectives.iter().map(|n| format!("\"{}\"", json::escape(n))).collect();
-        let constraints: Vec<String> =
-            self.constraints.iter().map(|c| format!("\"{}\"", json::escape(c))).collect();
-        let front: Vec<String> = self
-            .front_points()
-            .iter()
-            .map(|p| {
-                let id: Vec<String> = p.id.iter().map(ToString::to_string).collect();
-                let objectives: Vec<String> = p
-                    .objectives
-                    .iter()
-                    .map(|v| {
-                        if v.fract() == 0.0 && v.abs() < 9e15 {
-                            format!("{}", *v as i64)
-                        } else {
-                            format!("{v}")
-                        }
-                    })
-                    .collect();
-                format!(
-                    "    {{\n      \"ordinal\": {},\n      \"id\": [{}],\n      \
-                     \"label\": \"{}\",\n      \"objectives\": [{}],\n      \
-                     \"feasible\": {},\n      \"spec\": {}\n    }}",
-                    p.ordinal,
-                    id.join(", "),
-                    json::escape(&p.label),
-                    objectives.join(", "),
-                    p.feasible,
-                    spec_to_json(&p.spec),
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"{PARETO_SCHEMA}\",\n  \"strategy\": \"{}\",\n  \
-             \"objectives\": [{}],\n  \"constraints\": [{}],\n  \
-             \"space_size\": {},\n  \"evaluations\": {},\n  \"front_size\": {},\n  \
-             \"dominated\": {},\n  \"infeasible\": {},\n  \"cache_hits\": {},\n  \
-             \"cache_hit_rate\": {:.4},\n  \"wall_secs\": {:.3},\n  \"host\": {},\n  \
-             \"front\": [\n{}\n  ]\n}}\n",
-            json::escape(&self.strategy),
-            names.join(", "),
-            constraints.join(", "),
-            self.space_size,
-            self.evaluations(),
-            self.front.len(),
-            self.dominated,
-            self.infeasible,
-            self.cache_hits,
-            self.cache_hit_rate(),
-            self.wall_secs,
-            self.host.to_json(),
-            front.join(",\n"),
-        )
-    }
-
-    /// Writes the JSON document, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// [`HarnessError::CacheIo`] when the path cannot be written.
-    pub fn write(&self, path: impl AsRef<Path>) -> Result<(), HarnessError> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir)
-                    .map_err(|e| HarnessError::cache_io("store", dir.display().to_string(), &e))?;
-            }
-        }
-        fs::write(path, self.to_json())
-            .map_err(|e| HarnessError::cache_io("store", path.display().to_string(), &e))
+/// The `PARETO_*.json` document (schema [`PARETO_SCHEMA`]); a
+/// non-finite objective value is `null`.
+impl ToJson for ExploreReport {
+    fn to_json(&self) -> Value {
+        let front = self.front_points().into_iter().map(|p| {
+            Value::obj([
+                ("ordinal", p.ordinal.to_json()),
+                ("id", p.id.to_json()),
+                ("label", p.label.to_json()),
+                ("objectives", p.objectives.to_json()),
+                ("feasible", p.feasible.to_json()),
+                ("spec", p.spec.to_json()),
+            ])
+        });
+        Value::obj([
+            ("schema", PARETO_SCHEMA.to_json()),
+            ("strategy", self.strategy.to_json()),
+            ("objectives", self.objectives.to_json()),
+            ("constraints", self.constraints.to_json()),
+            ("space_size", self.space_size.to_json()),
+            ("evaluations", self.evaluations().to_json()),
+            ("front_size", self.front.len().to_json()),
+            ("dominated", self.dominated.to_json()),
+            ("infeasible", self.infeasible.to_json()),
+            ("cache_hits", self.cache_hits.to_json()),
+            ("cache_hit_rate", self.cache_hit_rate().to_json()),
+            ("wall_secs", self.wall_secs.to_json()),
+            ("host", self.host.to_json()),
+            ("front", Value::Arr(front.collect())),
+        ])
     }
 }
 

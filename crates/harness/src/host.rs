@@ -15,8 +15,6 @@
 use std::fs;
 use std::path::Path;
 
-use crate::json;
-
 /// Host metadata block of a benchmark artifact (schema v2 additions).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostInfo {
@@ -57,23 +55,9 @@ impl HostInfo {
             shards: shards.max(1),
         }
     }
-
-    /// Renders the block as a JSON object (no trailing newline), indented
-    /// for embedding under a top-level `"host"` key.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{ \"cpu_model\": \"{}\", \"cores\": {}, \"rustc\": \"{}\", \
-             \"git_rev\": \"{}\", \"threads\": {}, \"shards\": {} }}",
-            json::escape(&self.cpu_model),
-            self.cores,
-            json::escape(&self.rustc),
-            json::escape(&self.git_rev),
-            self.threads,
-            self.shards,
-        )
-    }
 }
+
+crate::impl_to_json!(HostInfo { cpu_model, cores, rustc, git_rev, threads, shards });
 
 fn cpu_model() -> Option<String> {
     let text = fs::read_to_string("/proc/cpuinfo").ok()?;
@@ -131,6 +115,7 @@ fn resolve_ref(common: &Path, name: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::ToJson;
 
     const HASH_LINE: &str = "0123456789abcdef0123456789abcdef01234567\n";
 
@@ -142,8 +127,7 @@ mod tests {
         assert_eq!(h.shards, 2);
         assert!(!h.cpu_model.is_empty());
         assert!(h.rustc.starts_with("rustc "), "{}", h.rustc);
-        let json = h.to_json();
-        let doc = crate::json::parse(&json).unwrap();
+        let doc = crate::json::parse(&h.to_json().pretty()).unwrap();
         assert_eq!(doc.get("threads").and_then(crate::json::Value::as_u64), Some(3));
         assert_eq!(doc.get("shards").and_then(crate::json::Value::as_u64), Some(2));
         assert!(doc.get("cpu_model").and_then(crate::json::Value::as_str).is_some());

@@ -1,23 +1,28 @@
 //! The workspace's one JSON codec: a strict reader with positioned
-//! errors, and a pretty writer for anything that implements [`ToJson`].
+//! errors, and one writer for anything that implements [`ToJson`].
 //!
-//! The workspace carries no serde. The figure tables reach JSON through
+//! The workspace carries no serde. Every JSON document it writes — the
+//! figure tables, `BENCH_*.json`, `PARETO_*.json`, the WCET report, the
+//! cost models, `asbr_tool lint --json` — is a [`Value`] built through
 //! [`ToJson`] (struct rows via [`impl_to_json!`](crate::impl_to_json))
-//! and [`Value::pretty`]; the harness's own artifacts (`BENCH_*.json`,
-//! `PARETO_*.json`, cache entries) are rendered by hand with [`escape`].
-//! Reading is one strict recursive-descent parser:
+//! and rendered by [`Value::pretty`] or [`Value::compact`]; [`write`]
+//! puts a document in a file. Reading is one strict recursive-descent
+//! parser:
 //!
 //! * every error carries a 1-based **line and column**;
 //! * the top-level value must be followed by nothing but whitespace —
 //!   trailing garbage is rejected, not ignored;
 //! * numbers keep integer precision (`i64`) when they have one.
 //!
-//! It parses the JSON the harness itself emits plus hand-edited inputs
+//! It parses the JSON the workspace itself emits plus hand-edited inputs
 //! such as `results/area.json`: all escape sequences (including
 //! `\uXXXX` surrogate pairs), nested containers with a depth limit, and
 //! exponent floats.
 
 use core::fmt;
+use std::fs;
+use std::num::NonZeroU32;
+use std::path::Path;
 
 use crate::error::HarnessError;
 
@@ -111,6 +116,12 @@ impl Value {
         }
     }
 
+    /// An object of `fields`, in the order given.
+    #[must_use]
+    pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
     /// Renders the value as indented JSON text: two spaces per level, one
     /// field or element per line, fields in order, `[]`/`{}` for empty
     /// containers, floats in Rust's shortest round-trip form (`1.0` stays
@@ -118,19 +129,33 @@ impl Value {
     #[must_use]
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.render(&mut out, Some(0));
         out
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
+    /// Renders the value on one line with no whitespace between tokens;
+    /// scalars as [`Value::pretty`] renders them.
+    #[must_use]
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, None);
+        out
+    }
+
+    /// The one writer: `depth` is the indent level of `self`, or `None`
+    /// for the compact form.
+    fn render(&self, out: &mut String, depth: Option<usize>) {
         /// Starts item `i` of a container whose items sit at `depth`.
-        fn item(out: &mut String, i: usize, depth: usize) {
+        fn item(out: &mut String, i: usize, depth: Option<usize>) {
             if i > 0 {
                 out.push(',');
             }
-            out.push('\n');
-            out.extend(std::iter::repeat_n("  ", depth));
+            if let Some(depth) = depth {
+                out.push('\n');
+                out.extend(std::iter::repeat_n("  ", depth));
+            }
         }
+        let inner = depth.map(|d| d + 1);
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(&b.to_string()),
@@ -143,8 +168,8 @@ impl Value {
             Value::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
-                    item(out, i, depth + 1);
-                    v.write_pretty(out, depth + 1);
+                    item(out, i, inner);
+                    v.render(out, inner);
                 }
                 item(out, 0, depth);
                 out.push(']');
@@ -152,9 +177,12 @@ impl Value {
             Value::Obj(fields) => {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
-                    item(out, i, depth + 1);
-                    out.push_str(&format!("\"{}\": ", escape(k)));
-                    v.write_pretty(out, depth + 1);
+                    item(out, i, inner);
+                    out.push_str(&format!("\"{}\":", escape(k)));
+                    if depth.is_some() {
+                        out.push(' ');
+                    }
+                    v.render(out, inner);
                 }
                 item(out, 0, depth);
                 out.push('}');
@@ -163,7 +191,27 @@ impl Value {
     }
 }
 
-/// A type with a JSON form: how the figure tables' rows become files.
+/// Writes `doc` to `path` as [`Value::pretty`] text and a final newline,
+/// creating the parent directory first.
+///
+/// # Errors
+///
+/// [`HarnessError::Write`] naming the directory or file that could not be
+/// written.
+pub fn write(path: impl AsRef<Path>, doc: &(impl ToJson + ?Sized)) -> Result<(), HarnessError> {
+    let path = path.as_ref();
+    let fail = |at: &Path, e: std::io::Error| HarnessError::Write {
+        path: at.display().to_string(),
+        message: e.to_string(),
+    };
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        fs::create_dir_all(dir).map_err(|e| fail(dir, e))?;
+    }
+    fs::write(path, doc.to_json().pretty() + "\n").map_err(|e| fail(path, e))
+}
+
+/// A type with a JSON form: how every document the workspace writes is
+/// built.
 pub trait ToJson {
     /// The value's JSON form.
     fn to_json(&self) -> Value;
@@ -195,15 +243,33 @@ macro_rules! impl_to_json {
     };
 }
 
+impl ToJson for Value {
+    fn to_json(&self) -> Value {
+        self.clone()
+    }
+}
+
 impl ToJson for bool {
     fn to_json(&self) -> Value {
         Value::Bool(*self)
     }
 }
 
+impl ToJson for str {
+    fn to_json(&self) -> Value {
+        Value::Str(self.to_owned())
+    }
+}
+
 impl ToJson for String {
     fn to_json(&self) -> Value {
-        Value::Str(self.clone())
+        self.as_str().to_json()
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> Value {
+        (**self).to_json()
     }
 }
 
@@ -219,6 +285,12 @@ macro_rules! int_to_json {
 }
 
 int_to_json!(u32, u64, usize);
+
+impl ToJson for NonZeroU32 {
+    fn to_json(&self) -> Value {
+        self.get().to_json()
+    }
+}
 
 impl ToJson for f64 {
     /// Non-finite values have no JSON form and become `null`.
@@ -543,8 +615,8 @@ fn utf8_len(first: u8) -> usize {
 }
 
 /// Escapes `s` as the contents of a JSON string literal (no surrounding
-/// quotes) — the one escape routine every hand renderer in the harness
-/// shares.
+/// quotes), as [`Value::pretty`] and [`Value::compact`] write strings.
+/// Public for writers that stream text they cannot hold as one [`Value`].
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());

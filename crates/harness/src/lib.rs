@@ -39,6 +39,7 @@ pub mod hash;
 pub mod json;
 pub mod host;
 mod prefix;
+mod report;
 mod shared;
 pub mod spec;
 pub mod throughput;

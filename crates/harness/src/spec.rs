@@ -7,7 +7,8 @@
 //! [`RunSpec`] captures exactly that tuple; [`RunOutcome`] is the single
 //! typed result every consumer reads. Sweeps build many specs with a
 //! [`crate::DesignSpace`] and execute them with [`crate::Executor`];
-//! [`spec_to_json`] renders a spec for the `PARETO_*.json` fronts.
+//! a spec's [`ToJson`] form is what each `PARETO_*.json` front point
+//! records.
 
 use std::num::NonZeroU32;
 use std::sync::Arc;
@@ -23,6 +24,7 @@ use asbr_sim::{Pipeline, PipelineConfig, PipelineSummary, PublishPoint, SimHooks
 use asbr_workloads::Workload;
 
 use crate::error::HarnessError;
+use crate::json::{ToJson, Value};
 use crate::prefix::Prefix;
 
 /// Baseline branch-target-buffer entries (paper Sec. 8).
@@ -552,51 +554,66 @@ impl RunOutcome {
     }
 }
 
-/// Renders a spec as the JSON object each point of a `PARETO_*.json`
-/// front records: workload slug, samples, predictor, BTB, tweaks, and
-/// the ASBR knobs (`false` for a baseline).
-#[must_use]
-pub fn spec_to_json(spec: &RunSpec) -> String {
-    let predictor = match spec.predictor {
-        PredictorKind::NotTaken => "{\"kind\": \"not-taken\"}".to_owned(),
-        PredictorKind::Taken => "{\"kind\": \"taken\"}".to_owned(),
-        PredictorKind::Bimodal { entries } => {
-            format!("{{\"kind\": \"bimodal\", \"entries\": {entries}}}")
+/// A spec as each point of a `PARETO_*.json` front records it: workload
+/// slug, samples, predictor, BTB, tweaks, and the ASBR knobs (`false` for
+/// a baseline).
+impl ToJson for RunSpec {
+    fn to_json(&self) -> Value {
+        let RunSpec { workload, samples, predictor, btb_entries, tweaks, asbr } = self;
+        Value::obj([
+            ("workload", workload.slug().to_json()),
+            ("samples", samples.to_json()),
+            ("predictor", predictor.to_json()),
+            ("btb_entries", btb_entries.to_json()),
+            ("tweaks", tweaks.to_json()),
+            ("asbr", asbr.map_or(Value::Bool(false), |a| a.to_json())),
+        ])
+    }
+}
+
+/// The predictor's `kind` and its sizes.
+impl ToJson for PredictorKind {
+    fn to_json(&self) -> Value {
+        let kind = |name: &str| ("kind", name.to_json());
+        match *self {
+            PredictorKind::NotTaken => Value::obj([kind("not-taken")]),
+            PredictorKind::Taken => Value::obj([kind("taken")]),
+            PredictorKind::Bimodal { entries } => {
+                Value::obj([kind("bimodal"), ("entries", entries.to_json())])
+            }
+            PredictorKind::Gshare { hist_bits, entries } => Value::obj([
+                kind("gshare"),
+                ("hist_bits", hist_bits.to_json()),
+                ("entries", entries.to_json()),
+            ]),
+            PredictorKind::Tournament { hist_bits, entries } => Value::obj([
+                kind("tournament"),
+                ("hist_bits", hist_bits.to_json()),
+                ("entries", entries.to_json()),
+            ]),
+            PredictorKind::Local { hist_bits, bht_entries, pht_entries } => Value::obj([
+                kind("local"),
+                ("hist_bits", hist_bits.to_json()),
+                ("bht_entries", bht_entries.to_json()),
+                ("pht_entries", pht_entries.to_json()),
+            ]),
         }
-        PredictorKind::Gshare { hist_bits, entries } => {
-            format!("{{\"kind\": \"gshare\", \"hist_bits\": {hist_bits}, \"entries\": {entries}}}")
-        }
-        PredictorKind::Tournament { hist_bits, entries } => format!(
-            "{{\"kind\": \"tournament\", \"hist_bits\": {hist_bits}, \"entries\": {entries}}}"
-        ),
-        PredictorKind::Local { hist_bits, bht_entries, pht_entries } => format!(
-            "{{\"kind\": \"local\", \"hist_bits\": {hist_bits}, \"bht_entries\": {bht_entries}, \
-             \"pht_entries\": {pht_entries}}}"
-        ),
-    };
-    let asbr = spec.asbr.map_or("false".to_owned(), |a| {
-        let publish = match a.publish {
+    }
+}
+
+crate::impl_to_json!(MicroTweaks { mul_latency, div_latency, ras_entries, cache_bytes });
+
+crate::impl_to_json!(AsbrSpec { publish, bit_entries, hoist });
+
+impl ToJson for PublishPoint {
+    fn to_json(&self) -> Value {
+        let name = match self {
             PublishPoint::Execute => "execute",
             PublishPoint::Mem => "mem",
             PublishPoint::Commit => "commit",
         };
-        format!(
-            "{{\"publish\": \"{publish}\", \"bit_entries\": {}, \"hoist\": {}}}",
-            a.bit_entries, a.hoist
-        )
-    });
-    format!(
-        "{{\"workload\": \"{}\", \"samples\": {}, \"predictor\": {predictor}, \
-         \"btb_entries\": {}, \"tweaks\": {{\"mul_latency\": {}, \"div_latency\": {}, \
-         \"ras_entries\": {}, \"cache_bytes\": {}}}, \"asbr\": {asbr}}}",
-        spec.workload.slug(),
-        spec.samples,
-        spec.btb_entries,
-        spec.tweaks.mul_latency,
-        spec.tweaks.div_latency,
-        spec.tweaks.ras_entries,
-        spec.tweaks.cache_bytes,
-    )
+        name.to_json()
+    }
 }
 
 #[cfg(test)]
@@ -623,7 +640,7 @@ mod tests {
         assert_eq!(out.summary.output, w.reference_output(&w.input(60)));
     }
 
-    /// The predictor a `spec_to_json` predictor object names.
+    /// The predictor a spec's JSON predictor object names.
     fn predictor_of(v: &crate::json::Value) -> PredictorKind {
         let field = |key: &str| v.get(key).and_then(crate::json::Value::as_u64).unwrap();
         let (entries, hist_bits) = (|| field("entries") as usize, || field("hist_bits") as u32);
@@ -668,7 +685,7 @@ mod tests {
                 .with_tweaks(tweaks)
         });
         for spec in baselines.iter().chain(&asbr) {
-            let text = spec_to_json(spec);
+            let text = spec.to_json().pretty();
             let v = crate::json::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
             let num = |obj: &crate::json::Value, key: &str| {
                 obj.get(key).and_then(crate::json::Value::as_u64).unwrap()

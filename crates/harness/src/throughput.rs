@@ -11,24 +11,11 @@
 //! counts must be identical across repetitions (the simulator is
 //! deterministic); [`ThroughputBench::measure`] asserts this.
 //!
-//! The JSON is rendered by hand like every other harness artifact:
-//!
-//! ```json
-//! {
-//!   "schema": "asbr-throughput-bench-v2",
-//!   "samples": 4000,
-//!   "reps": 5,
-//!   "host": { "cpu_model": "...", "cores": 1, "rustc": "rustc 1.x",
-//!             "git_rev": "abc1234", "threads": 1, "shards": 1 },
-//!   "entries": [ { "label": "ADPCM Encode/bimodal/baseline",
-//!                  "workload": "ADPCM Encode", "predictor": "bimodal",
-//!                  "asbr": false, "strategy": "scalar", "samples": 4000,
-//!                  "cycles": 216846, "retired": 180000,
-//!                  "best_nanos": 5135153, "mean_nanos": 5200000,
-//!                  "stddev_nanos": 40000, "cycles_per_sec": 42227758,
-//!                  "mips": 35.0 }, ... ]
-//! }
-//! ```
+//! [`ThroughputBench`]'s [`ToJson`] form is the document: the schema tag,
+//! `samples`, `reps`, the [`HostInfo`] block under `host`, and one object
+//! per entry with its fields, a constant `"strategy": "scalar"`, and the
+//! derived `cycles_per_sec` and `mips` (unrounded). `docs/performance.md`
+//! shows a full example in the codec's layout.
 //!
 //! Schema history: v1 had no `host` block and no per-entry `strategy` /
 //! `mean_nanos` / `stddev_nanos`; all additions are purely additive, and
@@ -38,14 +25,11 @@
 //! per run: v2 also carried entries of a sampled estimator, since
 //! deleted, and the field stays so v2 readers keep working.
 
-use std::fs;
-use std::io;
-use std::path::Path;
 use std::time::Instant;
 
 use crate::error::HarnessError;
 use crate::host::HostInfo;
-use crate::json::{self, Value};
+use crate::json::{self, ToJson, Value};
 use crate::prefix::Prefix;
 use crate::spec::{RunSpec, PROFILE_PREDICTOR};
 
@@ -144,7 +128,7 @@ impl ThroughputSpec {
 }
 
 /// One spec's throughput record.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ThroughputEntry {
     /// Human label of the spec (`workload/predictor/mode`).
     pub label: String,
@@ -261,54 +245,6 @@ impl ThroughputBench {
             .collect()
     }
 
-    /// Renders the benchmark as pretty-printed JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.entries.len() * 224);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": {},\n", json_str(THROUGHPUT_SCHEMA)));
-        s.push_str(&format!("  \"samples\": {},\n", self.samples));
-        s.push_str(&format!("  \"reps\": {},\n", self.reps));
-        s.push_str(&format!("  \"host\": {},\n", self.host.to_json()));
-        s.push_str("  \"entries\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{ \"label\": {}, \"workload\": {}, \"predictor\": {}, \
-                 \"asbr\": {}, \"strategy\": \"scalar\", \"samples\": {}, \"cycles\": {}, \
-                 \"retired\": {}, \"best_nanos\": {}, \"mean_nanos\": {}, \
-                 \"stddev_nanos\": {}, \"cycles_per_sec\": {}, \"mips\": {:.1} }}",
-                json_str(&e.label),
-                json_str(&e.workload),
-                json_str(&e.predictor),
-                e.asbr,
-                e.samples,
-                e.cycles,
-                e.retired,
-                e.best_nanos,
-                e.mean_nanos,
-                e.stddev_nanos,
-                e.cycles_per_sec(),
-                e.mips(),
-            ));
-        }
-        s.push_str("\n  ]\n}\n");
-        s
-    }
-
-    /// Writes the JSON to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        fs::write(path, self.to_json())
-    }
-
     /// Extracts the `(label, cycles)` pairs from a rendered
     /// `BENCH_throughput.json` — the golden-comparison fields. A real
     /// parse via [`crate::json`] (still dependency-free): the document
@@ -391,8 +327,40 @@ impl ThroughputBench {
     }
 }
 
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", json::escape(s))
+impl ToJson for ThroughputEntry {
+    fn to_json(&self) -> Value {
+        let ThroughputEntry {
+            label, workload, predictor, asbr, samples, cycles, retired, best_nanos, mean_nanos,
+            stddev_nanos,
+        } = self;
+        Value::obj([
+            ("label", label.to_json()),
+            ("workload", workload.to_json()),
+            ("predictor", predictor.to_json()),
+            ("asbr", asbr.to_json()),
+            ("strategy", "scalar".to_json()),
+            ("samples", samples.to_json()),
+            ("cycles", cycles.to_json()),
+            ("retired", retired.to_json()),
+            ("best_nanos", best_nanos.to_json()),
+            ("mean_nanos", mean_nanos.to_json()),
+            ("stddev_nanos", stddev_nanos.to_json()),
+            ("cycles_per_sec", self.cycles_per_sec().to_json()),
+            ("mips", self.mips().to_json()),
+        ])
+    }
+}
+
+impl ToJson for ThroughputBench {
+    fn to_json(&self) -> Value {
+        Value::obj([
+            ("schema", THROUGHPUT_SCHEMA.to_json()),
+            ("samples", self.samples.to_json()),
+            ("reps", self.reps.to_json()),
+            ("host", self.host.to_json()),
+            ("entries", self.entries.to_json()),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -425,16 +393,19 @@ mod tests {
             assert!(e.cycles_per_sec() > 0);
             assert!(e.mips() > 0.0);
         }
-        let json = bench.to_json();
-        assert!(json.contains("\"schema\": \"asbr-throughput-bench-v2\""));
-        assert!(json.contains("\"host\": {"));
-        assert!(json.contains("\"cpu_model\""));
-        assert!(json.contains("\"strategy\": \"scalar\""));
-        assert!(json.contains("\"asbr\": true"));
-        assert!(json.contains("\"mean_nanos\": "));
-        assert!(json.contains("\"stddev_nanos\": "));
-        assert!(json.contains("\"mips\": "));
-        assert_eq!(json.matches("\"label\"").count(), 2);
+        let doc = json::parse(&bench.to_json().pretty()).unwrap();
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some(THROUGHPUT_SCHEMA));
+        assert!(doc.get("host").and_then(|h| h.get("cpu_model")).is_some());
+        let entries = doc.get("entries").and_then(Value::as_arr).unwrap();
+        assert_eq!(entries.len(), 2);
+        for (e, want) in entries.iter().zip(&bench.entries) {
+            assert_eq!(e.get("label").and_then(Value::as_str), Some(want.label.as_str()));
+            assert_eq!(e.get("strategy").and_then(Value::as_str), Some("scalar"));
+            assert_eq!(e.get("mean_nanos").and_then(Value::as_u64), Some(want.mean_nanos));
+            assert_eq!(e.get("stddev_nanos").and_then(Value::as_u64), Some(want.stddev_nanos));
+            assert_eq!(e.get("mips").and_then(Value::as_f64), Some(want.mips()));
+        }
+        assert_eq!(entries[1].get("asbr").and_then(Value::as_bool), Some(true));
     }
 
     #[test]
@@ -454,26 +425,28 @@ mod tests {
         assert_eq!(single.spread(), 0.0);
     }
 
+    /// An entry pinning `cycles` under `label`, every timing 1 ns.
+    fn entry(label: &str, cycles: u64) -> ThroughputEntry {
+        ThroughputEntry {
+            label: label.to_owned(),
+            cycles,
+            retired: 1,
+            best_nanos: 1,
+            mean_nanos: 1,
+            ..ThroughputEntry::default()
+        }
+    }
+
+    /// A one-repetition bench of `entries`.
+    fn bench_of(entries: Vec<ThroughputEntry>) -> ThroughputBench {
+        ThroughputBench { samples: 10, reps: 1, host: HostInfo::gather(1, 1), entries }
+    }
+
     #[test]
     fn spread_warnings_fire_above_ten_percent() {
-        let mut e = ThroughputEntry {
-            label: "x".to_owned(),
-            workload: String::new(),
-            predictor: String::new(),
-            asbr: false,
-            samples: 1,
-            cycles: 1,
-            retired: 1,
-            best_nanos: 90,
-            mean_nanos: 100,
-            stddev_nanos: 5,
-        };
-        let mut bench = ThroughputBench {
-            samples: 1,
-            reps: 3,
-            host: HostInfo::gather(1, 1),
-            entries: vec![e.clone()],
-        };
+        let mut e =
+            ThroughputEntry { best_nanos: 90, mean_nanos: 100, stddev_nanos: 5, ..entry("x", 1) };
+        let mut bench = ThroughputBench { reps: 3, ..bench_of(vec![e.clone()]) };
         assert!(bench.spread_warnings().is_empty(), "5% spread is quiet");
         e.stddev_nanos = 20;
         bench.entries = vec![e];
@@ -490,47 +463,13 @@ mod tests {
           "samples": 10, "reps": 1,
           "entries": [ { "label": "a/b/baseline", "cycles": 100 } ]
         }"#;
-        let bench = ThroughputBench {
-            samples: 10,
-            reps: 1,
-            host: HostInfo::gather(1, 1),
-            entries: vec![ThroughputEntry {
-                label: "a/b/baseline".to_owned(),
-                workload: String::new(),
-                predictor: String::new(),
-                asbr: false,
-                samples: 10,
-                cycles: 100,
-                retired: 1,
-                best_nanos: 1,
-                mean_nanos: 1,
-                stddev_nanos: 0,
-            }],
-        };
-        bench.check_against(golden).unwrap();
+        bench_of(vec![entry("a/b/baseline", 100)]).check_against(golden).unwrap();
     }
 
     #[test]
     fn parse_and_check_round_trip() {
-        let entry = |label: &str, cycles: u64| ThroughputEntry {
-            label: label.to_owned(),
-            workload: String::new(),
-            predictor: String::new(),
-            asbr: false,
-            samples: 10,
-            cycles,
-            retired: 1,
-            best_nanos: 1,
-            mean_nanos: 1,
-            stddev_nanos: 0,
-        };
-        let bench = ThroughputBench {
-            samples: 10,
-            reps: 1,
-            host: HostInfo::gather(1, 1),
-            entries: vec![entry("a/b/baseline", 100), entry("a/b/asbr", 90)],
-        };
-        let json = bench.to_json();
+        let bench = bench_of(vec![entry("a/b/baseline", 100), entry("a/b/asbr", 90)]);
+        let json = bench.to_json().pretty();
         assert_eq!(
             ThroughputBench::parse_cycles(&json).unwrap(),
             vec![("a/b/baseline".to_owned(), 100), ("a/b/asbr".to_owned(), 90)]
@@ -551,31 +490,9 @@ mod tests {
 
     #[test]
     fn an_entry_missing_from_the_golden_is_drift() {
-        let entry = |label: &str| ThroughputEntry {
-            label: label.to_owned(),
-            workload: String::new(),
-            predictor: String::new(),
-            asbr: false,
-            samples: 10,
-            cycles: 100,
-            retired: 1,
-            best_nanos: 1,
-            mean_nanos: 1,
-            stddev_nanos: 0,
-        };
-        let golden = ThroughputBench {
-            samples: 10,
-            reps: 1,
-            host: HostInfo::gather(1, 1),
-            entries: vec![entry("a/b/baseline")],
-        }
-        .to_json();
-        let mut bench = ThroughputBench {
-            samples: 10,
-            reps: 1,
-            host: HostInfo::gather(1, 1),
-            entries: vec![entry("a/b/baseline"), entry("a/b/baseline/sampled")],
-        };
+        let golden = bench_of(vec![entry("a/b/baseline", 100)]).to_json().pretty();
+        let mut bench =
+            bench_of(vec![entry("a/b/baseline", 100), entry("a/b/baseline/sampled", 100)]);
         let err = bench.check_against(&golden).unwrap_err();
         assert!(err.contains("`a/b/baseline/sampled`: not in the golden"), "{err}");
         bench.entries.pop();
@@ -584,24 +501,7 @@ mod tests {
 
     #[test]
     fn parse_cycles_rejects_malformed_goldens() {
-        let bench = ThroughputBench {
-            samples: 10,
-            reps: 1,
-            host: HostInfo::gather(1, 1),
-            entries: vec![ThroughputEntry {
-                label: "a/b/baseline".to_owned(),
-                workload: String::new(),
-                predictor: String::new(),
-                asbr: false,
-                samples: 10,
-                cycles: 100,
-                retired: 1,
-                best_nanos: 1,
-                mean_nanos: 1,
-                stddev_nanos: 0,
-            }],
-        };
-        let json = bench.to_json();
+        let json = bench_of(vec![entry("a/b/baseline", 100)]).to_json().pretty();
 
         // Trailing garbage after the document — the scanning parser this
         // replaced accepted it silently.
@@ -626,18 +526,6 @@ mod tests {
 
     #[test]
     fn cycles_per_sec_is_overflow_safe() {
-        let e = ThroughputEntry {
-            label: String::new(),
-            workload: String::new(),
-            predictor: String::new(),
-            asbr: false,
-            samples: 0,
-            cycles: u64::MAX,
-            retired: 1,
-            best_nanos: 1,
-            mean_nanos: 1,
-            stddev_nanos: 0,
-        };
-        assert_eq!(e.cycles_per_sec(), u64::MAX);
+        assert_eq!(entry("", u64::MAX).cycles_per_sec(), u64::MAX);
     }
 }

@@ -21,7 +21,7 @@
 //! no prefix, or one for another key.
 
 use asbr_asm::Program;
-use asbr_check::{cycle_bound, prove_entry, ExecutionProfile, MachineParams};
+use asbr_check::{cycle_bound, prove_entry, CycleBound, ExecutionProfile, MachineParams};
 use asbr_core::BitEntry;
 use asbr_flow::Cfg;
 use asbr_sim::{PipelineConfig, SimError};
@@ -80,13 +80,26 @@ pub fn credited_branches(program: &Program, selected: &[u32], threshold: u32) ->
         .collect()
 }
 
+// The bound's JSON form: one key per attribution bucket.
+crate::impl_to_json!(CycleBound {
+    useful,
+    fill_drain,
+    branch_flush,
+    jump_redirect,
+    indirect_flush,
+    load_use,
+    ex_occupancy,
+    dcache_stall,
+    icache_stall,
+});
+
 /// One spec's bound-versus-simulation comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WcetRecord {
     /// Human label of the spec ([`RunSpec::label`]).
     pub label: String,
     /// The per-bucket static bound.
-    pub bound: asbr_check::CycleBound,
+    pub bound: CycleBound,
     /// Cycles the pipelined simulator actually took.
     pub cycles: u64,
     /// Dynamic instructions the profile retired.

@@ -3,6 +3,9 @@
 use std::io::Write as _;
 use std::process::Command;
 
+use asbr_harness::json::{self, Value};
+use asbr_workloads::Workload;
+
 fn tool() -> Command {
     Command::new(env!("CARGO_BIN_EXE_asbr_tool"))
 }
@@ -167,8 +170,40 @@ fn lint_cli_passes_on_workloads() {
     let json = tool().args(["lint", "--json", "--deny", "warn"]).output().unwrap();
     assert!(json.status.success());
     let text = String::from_utf8_lossy(&json.stdout);
-    assert!(text.starts_with('['), "{text}");
-    assert!(text.contains("\"name\":"), "{text}");
+    let doc = json::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+    let reports = doc.as_arr().unwrap_or_else(|| panic!("not an array:\n{text}"));
+    let names: Vec<&str> =
+        reports.iter().map(|r| r.get("name").and_then(Value::as_str).unwrap()).collect();
+    let workloads: Vec<&str> = Workload::ALL.iter().map(|w| w.name()).collect();
+    assert_eq!(names, workloads);
+    for r in reports {
+        assert!(r.get("diagnostics").and_then(Value::as_arr).is_some(), "{r:?}");
+    }
+}
+
+#[test]
+fn wcet_writes_a_report_whose_bounds_hold() {
+    let dir = std::env::temp_dir().join(format!("asbr-cli-wcet-{}", std::process::id()));
+    let path = dir.join("wcet.json");
+    let out = tool().args(["wcet", "--samples", "40", "--out"]).arg(&path).output().unwrap();
+    let written = std::fs::read_to_string(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let doc = json::parse(&written.unwrap()).unwrap();
+    let runs = doc.get("runs").and_then(Value::as_arr).unwrap();
+    assert_eq!(runs.len(), 2 * Workload::ALL.len());
+    let mut range_only = 0;
+    for r in runs {
+        let field = |key: &str| r.get(key).and_then(Value::as_u64).unwrap();
+        assert!(field("bound") >= field("cycles"), "{r:?}");
+        for b in r.get("branches").and_then(Value::as_arr).unwrap() {
+            let verdict = |key: &str| b.get(key).and_then(Value::as_bool).unwrap();
+            if verdict("range_provable") && !verdict("distance_provable") {
+                range_only += 1;
+            }
+        }
+    }
+    assert_eq!(doc.get("range_only_provable_branches").and_then(Value::as_u64), Some(range_only));
 }
 
 #[test]
@@ -213,7 +248,7 @@ fn tables_prints_the_figure_and_writes_its_json() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("=== Figure 6"), "{text}");
-    let rows = asbr_harness::json::parse(&written.unwrap()).unwrap();
+    let rows = json::parse(&written.unwrap()).unwrap();
     assert!(rows.as_arr().is_some_and(|r| !r.is_empty()), "{rows:?}");
 }
 
@@ -230,7 +265,7 @@ fn explore_reports_host_provenance_without_a_path() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = std::fs::read_to_string(out_path.path()).unwrap();
-    let doc = asbr_harness::json::parse(&text).unwrap();
+    let doc = json::parse(&text).unwrap();
     let field = |key: &str| {
         doc.get("host").and_then(|h| h.get(key)).and_then(|v| v.as_str()).unwrap().to_owned()
     };

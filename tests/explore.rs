@@ -6,6 +6,7 @@
 use std::path::PathBuf;
 
 use asbr_bpred::PredictorKind;
+use asbr_harness::json::{self, ToJson, Value};
 use asbr_harness::{
     dominates, pareto_indices, Axis, CacheMode, Constraint, CostModel, DesignSpace, Executor,
     Exploration, ExploreReport, Metric, Objective, RunSpec, SearchStrategy, PARETO_SCHEMA,
@@ -198,7 +199,7 @@ fn report_json_carries_the_schema_and_front() {
     let report = small_exploration(SearchStrategy::Exhaustive)
         .run(&Executor::new())
         .unwrap();
-    let json = report.to_json();
+    let json = report.to_json().pretty();
     assert!(json.contains(&format!("\"schema\": \"{PARETO_SCHEMA}\"")), "{json}");
     assert!(json.contains("\"front\""));
     assert!(json.contains("\"cache_hit_rate\""));
@@ -206,7 +207,38 @@ fn report_json_carries_the_schema_and_front() {
         assert!(json.contains(&p.label), "front label {} missing from JSON", p.label);
     }
     // The document round-trips through the strict parser.
-    let parsed = asbr_harness::json::parse(&json).expect("PARETO JSON parses");
+    let parsed = json::parse(&json).expect("PARETO JSON parses");
     assert_eq!(parsed.get("schema").and_then(|v| v.as_str()), Some(PARETO_SCHEMA));
     assert!(parsed.get("front").is_some());
+}
+
+/// An objective with no finite value is written as `null`: the document
+/// stays JSON the codec's own parser accepts.
+#[test]
+fn report_json_writes_non_finite_objectives_as_null() {
+    let mut exploration = small_exploration(SearchStrategy::Exhaustive);
+    exploration.objectives.push(Objective::maximize(Metric::custom("headroom", |spec, _| {
+        if spec.btb_entries == 512 { f64::INFINITY } else { 1.0 }
+    })));
+    let report = exploration.run(&Executor::new()).unwrap();
+    let infinite: Vec<&str> = report
+        .front_points()
+        .iter()
+        .filter(|p| p.objectives[2].is_infinite())
+        .map(|p| p.label.as_str())
+        .collect();
+    assert!(!infinite.is_empty(), "no front point has an infinite objective");
+
+    let doc = json::parse(&report.to_json().pretty()).expect("PARETO JSON parses");
+    let front = doc.get("front").and_then(Value::as_arr).unwrap();
+    assert_eq!(front.len(), report.front.len());
+    for p in front {
+        let label = p.get("label").and_then(Value::as_str).unwrap();
+        let headroom = &p.get("objectives").and_then(Value::as_arr).unwrap()[2];
+        if infinite.contains(&label) {
+            assert_eq!(headroom, &Value::Null, "{label}");
+        } else {
+            assert_eq!(headroom.as_f64(), Some(1.0), "{label}");
+        }
+    }
 }

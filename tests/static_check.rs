@@ -225,7 +225,7 @@ fn interval_domain_bounds_every_retired_write_on_random_programs() {
 // ---------------------------------------------------------------------
 // Golden: the `asbr_tool lint --json` report schema. Tools parse this
 // output, so key names, nesting, and optional-field behaviour are pinned
-// exactly.
+// exactly. The report is rendered by asbr-harness's JSON codec.
 // Regenerate tests/goldens/lint_report.json only on a deliberate schema
 // change, and note it in docs/analysis.md.
 // ---------------------------------------------------------------------
@@ -233,6 +233,7 @@ fn interval_domain_bounds_every_retired_write_on_random_programs() {
 #[test]
 fn lint_json_schema_matches_the_golden() {
     use asbr_check::Diagnostic;
+    use asbr_harness::json::ToJson;
 
     let p = assemble("main:   li   r4, 1\nbr:     bnez r4, main\n        halt").unwrap();
     let mut r = Report::new("golden");
@@ -252,7 +253,7 @@ fn lint_json_schema_matches_the_golden() {
     let golden = std::fs::read_to_string(golden_path)
         .unwrap_or_else(|e| panic!("cannot read {golden_path}: {e}"));
     assert_eq!(
-        r.to_json(),
+        r.to_json().compact(),
         golden.trim_end(),
         "lint JSON schema drifted from tests/goldens/lint_report.json"
     );
