@@ -14,18 +14,20 @@
 //! * **I — the general-purpose predictor family study**
 //! * **J — cache-size sensitivity**
 //!
-//! Every sweep builds its [`RunSpec`] batch and hands it to one
-//! [`Executor`] call, so the expensive shared prefix (assembly, input
-//! synthesis, profiling) is computed once per workload rather than once
-//! per point.
+//! A spec-backed ablation is a declaration: a `*_space` over the given
+//! workloads, workload-major, and a `*_rows` projection of its specs'
+//! outcomes that runs nothing. The caller runs the specs, so
+//! `asbr_tool tables` batches them with every other table's. No
+//! [`RunSpec`] describes three runs, which stay driven by hand:
+//! [`bank_switching`], [`static_selection`] and [`static_profile`].
 
 use asbr_asm::assemble;
 use asbr_bpred::{PredictorKind, StaticPerBranch};
 use asbr_core::{AsbrConfig, AsbrUnit, BitEntry};
 use asbr_flow::select_static;
 use asbr_harness::{
-    impl_to_json, AsbrSpec, Executor, HarnessError, MicroTweaks, RunOutcome, RunSpec, AUX_BTB,
-    BASELINE_BTB,
+    impl_to_json, ArmSpec, AsbrSpec, Axis, DesignSpace, HarnessError, MicroTweaks, RunOutcome,
+    RunSpec, AUX_BTB, BASELINE_BTB,
 };
 use asbr_profile::profile;
 use asbr_sim::{Pipeline, PipelineConfig, PublishPoint};
@@ -48,83 +50,92 @@ pub struct Point {
 
 impl_to_json!(Point { workload, setting, cycles, folds, blocked });
 
-fn point(w: Workload, setting: String, out: &RunOutcome) -> Point {
-    Point {
-        workload: w.name().to_owned(),
-        setting,
-        cycles: out.cycles(),
-        folds: out.folds(),
-        blocked: out.asbr.map_or(0, |a| a.blocked_invalid),
-    }
-}
-
 /// The auxiliary the ablations pair with ASBR (the paper's bi-512).
 const ABLATION_AUX: PredictorKind = PredictorKind::Bimodal { entries: 512 };
 
-fn sweep(
-    w: Workload,
-    specs: Vec<RunSpec>,
-    settings: Vec<String>,
-) -> Result<Vec<Point>, HarnessError> {
-    let outcomes = Executor::new().run(&specs)?;
-    Ok(settings
-        .into_iter()
-        .zip(&outcomes)
-        .map(|(setting, out)| point(w, setting, out))
-        .collect())
-}
-
-/// Ablation A: BIT capacity sweep.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn bit_size(w: Workload, samples: usize, sizes: &[usize]) -> Result<Vec<Point>, HarnessError> {
-    let specs = sizes
+/// One [`Point`] per ASBR run, its setting rendered from the run's knobs.
+fn points(
+    specs: &[RunSpec],
+    outcomes: &[RunOutcome],
+    setting: impl Fn(AsbrSpec) -> String,
+) -> Vec<Point> {
+    specs
         .iter()
-        .map(|&n| {
-            RunSpec::asbr(w, ABLATION_AUX, samples)
-                .with_asbr(AsbrSpec { bit_entries: n, ..AsbrSpec::default() })
+        .zip(outcomes)
+        .map(|(spec, out)| Point {
+            workload: spec.workload.name().to_owned(),
+            setting: setting(spec.asbr.expect("a knob ablation runs ASBR")),
+            cycles: out.cycles(),
+            folds: out.folds(),
+            blocked: out.asbr.map_or(0, |a| a.blocked_invalid),
         })
-        .collect();
-    sweep(w, specs, sizes.iter().map(|n| format!("BIT={n}")).collect())
+        .collect()
 }
 
-/// Ablation B: publish point (threshold) sweep.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn publish_point(w: Workload, samples: usize) -> Result<Vec<Point>, HarnessError> {
+/// The ablations' base run, ASBR + bi-512, over `workloads`,
+/// workload-major; each ablation adds the axes it varies.
+fn asbr_over(workloads: &[Workload], samples: usize) -> DesignSpace {
+    let base = RunSpec::asbr(Workload::AdpcmEncode, ABLATION_AUX, samples);
+    DesignSpace::new(base).axis(Axis::workloads(workloads.iter().copied()))
+}
+
+/// Ablation A: one run per BIT capacity.
+#[must_use]
+pub fn bit_size_space(workloads: &[Workload], samples: usize, sizes: &[usize]) -> DesignSpace {
+    asbr_over(workloads, samples).axis(Axis::bit_entries(sizes.iter().copied()))
+}
+
+/// Ablation A's points, one per spec of [`bit_size_space`].
+#[must_use]
+pub fn bit_size_rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<Point> {
+    points(specs, outcomes, |k| format!("BIT={}", k.bit_entries))
+}
+
+/// Ablation B: one run per publish point (threshold).
+#[must_use]
+pub fn publish_point_space(workloads: &[Workload], samples: usize) -> DesignSpace {
     let points = [PublishPoint::Execute, PublishPoint::Mem, PublishPoint::Commit];
-    let specs = points
-        .into_iter()
-        .map(|publish| {
-            RunSpec::asbr(w, ABLATION_AUX, samples)
-                .with_asbr(AsbrSpec { publish, ..AsbrSpec::default() })
-        })
-        .collect();
-    let settings = points
-        .into_iter()
-        .map(|p| format!("{p:?} (threshold {})", p.threshold()))
-        .collect();
-    sweep(w, specs, settings)
+    asbr_over(workloads, samples).axis(Axis::publish(points))
 }
 
-/// Ablation C: with and without the Sec. 5.1 hoisting scheduler.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn scheduling(w: Workload, samples: usize) -> Result<Vec<Point>, HarnessError> {
-    let specs = [false, true]
-        .into_iter()
-        .map(|hoist| {
-            RunSpec::asbr(w, ABLATION_AUX, samples)
-                .with_asbr(AsbrSpec { hoist, ..AsbrSpec::default() })
-        })
-        .collect();
-    sweep(w, specs, vec!["unscheduled".to_owned(), "scheduled".to_owned()])
+/// Ablation B's points, one per spec of [`publish_point_space`].
+#[must_use]
+pub fn publish_point_rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<Point> {
+    points(specs, outcomes, |k| format!("{:?} (threshold {})", k.publish, k.publish.threshold()))
+}
+
+/// Ablation C: without and with the Sec. 5.1 hoisting scheduler.
+#[must_use]
+pub fn scheduling_space(workloads: &[Workload], samples: usize) -> DesignSpace {
+    let arms = [false, true].map(|hoist| ArmSpec {
+        asbr: Some(AsbrSpec { hoist, ..AsbrSpec::default() }),
+        ..ArmSpec::asbr(ABLATION_AUX)
+    });
+    asbr_over(workloads, samples).axis(Axis::arms(arms))
+}
+
+/// Ablation C's points, one per spec of [`scheduling_space`].
+#[must_use]
+pub fn scheduling_rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<Point> {
+    points(specs, outcomes, |k| if k.hoist { "scheduled" } else { "unscheduled" }.to_owned())
+}
+
+/// Walks a batch of spec pairs: each pair's first spec and both
+/// outcomes.
+fn pairs<'a>(
+    specs: &'a [RunSpec],
+    outcomes: &'a [RunOutcome],
+) -> impl Iterator<Item = (&'a RunSpec, &'a RunOutcome, &'a RunOutcome)> {
+    let pairs = specs.iter().step_by(2).zip(outcomes.chunks_exact(2));
+    pairs.map(|(spec, pair)| (spec, &pair[0], &pair[1]))
+}
+
+/// A `[baseline bimodal-2048, ASBR + bi-512]` pair over `workloads` per
+/// value of `axis`.
+fn paired(workloads: &[Workload], samples: usize, axis: Axis) -> DesignSpace {
+    let baseline = ArmSpec::baseline(PredictorKind::Bimodal { entries: 2048 });
+    let arms = Axis::arms([baseline, ArmSpec::asbr(ABLATION_AUX)]);
+    asbr_over(workloads, samples).axis(axis).axis(arms)
 }
 
 /// Ablation D: auxiliary predictor size sweep, with the matching baseline
@@ -143,30 +154,37 @@ pub struct AuxPoint {
 
 impl_to_json!(AuxPoint { workload, entries, asbr_cycles, baseline_cycles });
 
-/// Runs ablation D.
+/// Ablation D: per bimodal size, ASBR with that auxiliary then the
+/// same-size baseline.
+#[must_use]
+pub fn aux_size_space(workloads: &[Workload], samples: usize, sizes: &[usize]) -> DesignSpace {
+    let arms = sizes.iter().flat_map(|&entries| {
+        let kind = PredictorKind::Bimodal { entries };
+        [ArmSpec::asbr(kind), ArmSpec::baseline(kind)]
+    });
+    asbr_over(workloads, samples).axis(Axis::arms(arms))
+}
+
+/// Ablation D's points, one per pair of [`aux_size_space`].
 ///
-/// # Errors
+/// # Panics
 ///
-/// Propagates any [`SimError`].
-pub fn aux_size(w: Workload, samples: usize, sizes: &[usize]) -> Result<Vec<AuxPoint>, HarnessError> {
-    let specs: Vec<RunSpec> = sizes
-        .iter()
-        .flat_map(|&entries| {
-            let kind = PredictorKind::Bimodal { entries };
-            [RunSpec::asbr(w, kind, samples), RunSpec::baseline(w, kind, samples)]
+/// Panics if a pair's auxiliary is not bimodal.
+#[must_use]
+pub fn aux_size_rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<AuxPoint> {
+    pairs(specs, outcomes)
+        .map(|(spec, asbr, base)| {
+            let PredictorKind::Bimodal { entries } = spec.predictor else {
+                panic!("ablation D sweeps bimodal sizes, not {:?}", spec.predictor)
+            };
+            AuxPoint {
+                workload: spec.workload.name().to_owned(),
+                entries,
+                asbr_cycles: asbr.cycles(),
+                baseline_cycles: base.cycles(),
+            }
         })
-        .collect();
-    let outcomes = Executor::new().run(&specs)?;
-    Ok(sizes
-        .iter()
-        .zip(outcomes.chunks_exact(2))
-        .map(|(&entries, pair)| AuxPoint {
-            workload: w.name().to_owned(),
-            entries,
-            asbr_cycles: pair[0].cycles(),
-            baseline_cycles: pair[1].cycles(),
-        })
-        .collect())
+        .collect()
 }
 
 /// Ablation E: BIT bank switching on a two-phase workload whose loops
@@ -239,45 +257,35 @@ pub struct LatencyPoint {
 
 impl_to_json!(LatencyPoint { workload, latency, baseline_cycles, asbr_cycles });
 
-/// Runs ablation F. Latencies are cycles of EX occupancy and must be
-/// nonzero ([`MicroTweaks::muldiv`] rejects zero — there is no "faster
-/// than single-cycle" setting, and the old clamp silently aliased 0 to
-/// 1).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
+/// Ablation F: a baseline/ASBR pair per `(mul, div)` latency. Latencies
+/// are cycles of EX occupancy and must be nonzero
+/// ([`MicroTweaks::muldiv`] rejects zero — there is no "faster than
+/// single-cycle" setting, and the old clamp silently aliased 0 to 1).
 ///
 /// # Panics
 ///
 /// Panics if any latency is zero.
-pub fn muldiv_latency(
-    w: Workload,
+#[must_use]
+pub fn muldiv_latency_space(
+    workloads: &[Workload],
     samples: usize,
     latencies: &[(u32, u32)],
-) -> Result<Vec<LatencyPoint>, HarnessError> {
-    let specs: Vec<RunSpec> = latencies
-        .iter()
-        .flat_map(|&(mul, div)| {
-            let tweaks = MicroTweaks::muldiv(mul, div);
-            [
-                RunSpec::baseline(w, PredictorKind::Bimodal { entries: 2048 }, samples)
-                    .with_tweaks(tweaks),
-                RunSpec::asbr(w, ABLATION_AUX, samples).with_tweaks(tweaks),
-            ]
+) -> DesignSpace {
+    let tweaks = latencies.iter().map(|&(mul, div)| MicroTweaks::muldiv(mul, div));
+    paired(workloads, samples, Axis::tweaks(tweaks))
+}
+
+/// Ablation F's points, one per pair of [`muldiv_latency_space`].
+#[must_use]
+pub fn muldiv_latency_rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<LatencyPoint> {
+    pairs(specs, outcomes)
+        .map(|(spec, base, asbr)| LatencyPoint {
+            workload: spec.workload.name().to_owned(),
+            latency: (spec.tweaks.mul_latency.get(), spec.tweaks.div_latency.get()),
+            baseline_cycles: base.cycles(),
+            asbr_cycles: asbr.cycles(),
         })
-        .collect();
-    let outcomes = Executor::new().run(&specs)?;
-    Ok(latencies
-        .iter()
-        .zip(outcomes.chunks_exact(2))
-        .map(|(&latency, pair)| LatencyPoint {
-            workload: w.name().to_owned(),
-            latency,
-            baseline_cycles: pair[0].cycles(),
-            asbr_cycles: pair[1].cycles(),
-        })
-        .collect())
+        .collect()
 }
 
 /// Ablation G: return-address stack on/off, baseline and ASBR.
@@ -299,36 +307,25 @@ pub struct RasPoint {
 
 impl_to_json!(RasPoint { workload, ras_entries, baseline_cycles, asbr_cycles, baseline_indirect_flushes });
 
-/// Runs ablation G.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn ras(w: Workload, samples: usize) -> Result<Vec<RasPoint>, HarnessError> {
-    let sizes = [0usize, 8];
-    let specs: Vec<RunSpec> = sizes
-        .into_iter()
-        .flat_map(|ras_entries| {
-            let tweaks = MicroTweaks { ras_entries, ..MicroTweaks::default() };
-            [
-                RunSpec::baseline(w, PredictorKind::Bimodal { entries: 2048 }, samples)
-                    .with_tweaks(tweaks),
-                RunSpec::asbr(w, ABLATION_AUX, samples).with_tweaks(tweaks),
-            ]
+/// Ablation G: a baseline/ASBR pair without and with an 8-entry RAS.
+#[must_use]
+pub fn ras_space(workloads: &[Workload], samples: usize) -> DesignSpace {
+    let tweaks = [0, 8].map(|ras_entries| MicroTweaks { ras_entries, ..MicroTweaks::default() });
+    paired(workloads, samples, Axis::tweaks(tweaks))
+}
+
+/// Ablation G's points, one per pair of [`ras_space`].
+#[must_use]
+pub fn ras_rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<RasPoint> {
+    pairs(specs, outcomes)
+        .map(|(spec, base, asbr)| RasPoint {
+            workload: spec.workload.name().to_owned(),
+            ras_entries: spec.tweaks.ras_entries,
+            baseline_cycles: base.cycles(),
+            asbr_cycles: asbr.cycles(),
+            baseline_indirect_flushes: base.summary.stats.indirect_flushes,
         })
-        .collect();
-    let outcomes = Executor::new().run(&specs)?;
-    Ok(sizes
-        .into_iter()
-        .zip(outcomes.chunks_exact(2))
-        .map(|(ras_entries, pair)| RasPoint {
-            workload: w.name().to_owned(),
-            ras_entries,
-            baseline_cycles: pair[0].cycles(),
-            asbr_cycles: pair[1].cycles(),
-            baseline_indirect_flushes: pair[0].summary.stats.indirect_flushes,
-        })
-        .collect())
+        .collect()
 }
 
 /// Ablation J: cache-size sensitivity — does ASBR's advantage survive
@@ -347,34 +344,23 @@ pub struct CachePoint {
 
 impl_to_json!(CachePoint { workload, cache_bytes, baseline_cycles, asbr_cycles });
 
-/// Runs ablation J.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn cache_size(w: Workload, samples: usize, sizes: &[u32]) -> Result<Vec<CachePoint>, HarnessError> {
-    let specs: Vec<RunSpec> = sizes
-        .iter()
-        .flat_map(|&cache_bytes| {
-            let tweaks = MicroTweaks { cache_bytes, ..MicroTweaks::default() };
-            [
-                RunSpec::baseline(w, PredictorKind::Bimodal { entries: 2048 }, samples)
-                    .with_tweaks(tweaks),
-                RunSpec::asbr(w, ABLATION_AUX, samples).with_tweaks(tweaks),
-            ]
+/// Ablation J: a baseline/ASBR pair per I/D cache capacity.
+#[must_use]
+pub fn cache_size_space(workloads: &[Workload], samples: usize, sizes: &[u32]) -> DesignSpace {
+    paired(workloads, samples, Axis::cache_bytes(sizes.iter().copied()))
+}
+
+/// Ablation J's points, one per pair of [`cache_size_space`].
+#[must_use]
+pub fn cache_size_rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<CachePoint> {
+    pairs(specs, outcomes)
+        .map(|(spec, base, asbr)| CachePoint {
+            workload: spec.workload.name().to_owned(),
+            cache_bytes: spec.tweaks.cache_bytes,
+            baseline_cycles: base.cycles(),
+            asbr_cycles: asbr.cycles(),
         })
-        .collect();
-    let outcomes = Executor::new().run(&specs)?;
-    Ok(sizes
-        .iter()
-        .zip(outcomes.chunks_exact(2))
-        .map(|(&cache_bytes, pair)| CachePoint {
-            workload: w.name().to_owned(),
-            cache_bytes,
-            baseline_cycles: pair[0].cycles(),
-            asbr_cycles: pair[1].cycles(),
-        })
-        .collect())
+        .collect()
 }
 
 /// Ablation I: the predictor-family study — how the full zoo of
@@ -398,38 +384,46 @@ pub struct FamilyRow {
 
 impl_to_json!(FamilyRow { workload, predictor, cycles, accuracy, storage_bits });
 
-/// Runs ablation I.
+/// The predictors of ablation I's spec-backed arms, in row order.
+pub const FAMILY: [PredictorKind; 5] = [
+    PredictorKind::NotTaken,
+    PredictorKind::Bimodal { entries: 2048 },
+    PredictorKind::Gshare { hist_bits: 11, entries: 2048 },
+    PredictorKind::Local { hist_bits: 10, bht_entries: 1024, pht_entries: 1024 },
+    PredictorKind::Tournament { hist_bits: 11, entries: 1024 },
+];
+
+/// Ablation I: one baseline run per [`FAMILY`] predictor.
+#[must_use]
+pub fn predictor_family_space(workloads: &[Workload], samples: usize) -> DesignSpace {
+    asbr_over(workloads, samples).axis(Axis::arms(FAMILY.map(ArmSpec::baseline)))
+}
+
+/// Ablation I's rows, one per spec of [`predictor_family_space`].
+#[must_use]
+pub fn predictor_family_rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<FamilyRow> {
+    specs
+        .iter()
+        .zip(outcomes)
+        .map(|(spec, out)| FamilyRow {
+            workload: spec.workload.name().to_owned(),
+            predictor: spec.predictor.label(),
+            cycles: out.cycles(),
+            accuracy: out.summary.stats.accuracy(),
+            storage_bits: spec.predictor.storage_bits(),
+        })
+        .collect()
+}
+
+/// Ablation I's profile-guided static arm (reference [2] in its
+/// per-branch majority form): profile once, hint every branch, re-run.
+/// The hinted predictor is not a `PredictorKind`, so no [`RunSpec`]
+/// describes this run and it is driven by hand.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`].
-pub fn predictor_family(w: Workload, samples: usize) -> Result<Vec<FamilyRow>, HarnessError> {
-    let kinds = [
-        PredictorKind::NotTaken,
-        PredictorKind::Bimodal { entries: 2048 },
-        PredictorKind::Gshare { hist_bits: 11, entries: 2048 },
-        PredictorKind::Local { hist_bits: 10, bht_entries: 1024, pht_entries: 1024 },
-        PredictorKind::Tournament { hist_bits: 11, entries: 1024 },
-    ];
-    let specs: Vec<RunSpec> =
-        kinds.into_iter().map(|kind| RunSpec::baseline(w, kind, samples)).collect();
-    let outcomes = Executor::new().run(&specs)?;
-    let mut rows: Vec<FamilyRow> = kinds
-        .into_iter()
-        .zip(&outcomes)
-        .map(|(kind, out)| FamilyRow {
-            workload: w.name().to_owned(),
-            predictor: kind.label(),
-            cycles: out.cycles(),
-            accuracy: out.summary.stats.accuracy(),
-            storage_bits: kind.storage_bits(),
-        })
-        .collect();
-
-    // Profile-guided static prediction (reference [2] in its per-branch
-    // majority form): profile once, hint every branch, re-run. The hinted
-    // predictor is not a `PredictorKind`, so this arm stays outside the
-    // spec vocabulary.
+pub fn static_profile(w: Workload, samples: usize) -> Result<FamilyRow, HarnessError> {
     let program = w.program();
     let input = w.input(samples);
     let report = profile(&program, &input, &[])?;
@@ -441,14 +435,13 @@ pub fn predictor_family(w: Workload, samples: usize) -> Result<Vec<FamilyRow>, H
         Box::new(stat),
     );
     let s = pipe.execute(&program, input.iter().copied())?;
-    rows.push(FamilyRow {
+    Ok(FamilyRow {
         workload: w.name().to_owned(),
         predictor: "static-profile".to_owned(),
         cycles: s.stats.cycles,
         accuracy: s.stats.accuracy(),
         storage_bits: 0,
-    });
-    Ok(rows)
+    })
 }
 
 /// Ablation H: profile-free (static) BIT selection vs the profiled one.
@@ -468,27 +461,37 @@ pub struct SelectionPoint {
 
 impl_to_json!(SelectionPoint { workload, method, cycles, folds, selected });
 
-/// Runs ablation H.
+/// Ablation H's spec-backed arm: the profiled selection (the harness
+/// default), one run per workload.
+#[must_use]
+pub fn selection_space(workloads: &[Workload], samples: usize) -> DesignSpace {
+    asbr_over(workloads, samples)
+}
+
+/// Ablation H's `"profiled"` points, one per spec of [`selection_space`].
+#[must_use]
+pub fn selection_rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<SelectionPoint> {
+    specs
+        .iter()
+        .zip(outcomes)
+        .map(|(spec, out)| SelectionPoint {
+            workload: spec.workload.name().to_owned(),
+            method: "profiled".to_owned(),
+            cycles: out.cycles(),
+            folds: out.folds(),
+            selected: out.selected.len(),
+        })
+        .collect()
+}
+
+/// Ablation H's `"static"` point: loop-depth-ranked selection, no
+/// profiling run at all. The selection bypasses the profiler, so no
+/// [`RunSpec`] describes this run and it is driven by hand.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`].
-pub fn static_selection(w: Workload, samples: usize) -> Result<Vec<SelectionPoint>, HarnessError> {
-    let mut rows = Vec::new();
-
-    // Profiled path (the harness default).
-    let profiled = RunSpec::asbr(w, ABLATION_AUX, samples).execute()?;
-    rows.push(SelectionPoint {
-        workload: w.name().to_owned(),
-        method: "profiled".to_owned(),
-        cycles: profiled.cycles(),
-        folds: profiled.folds(),
-        selected: profiled.selected.len(),
-    });
-
-    // Static path: loop-depth-ranked, no profiling run at all. The
-    // selection bypasses the profiler, so this arm stays outside the spec
-    // vocabulary.
+pub fn static_selection(w: Workload, samples: usize) -> Result<SelectionPoint, HarnessError> {
     let program = w.program();
     let picks: Vec<u32> = select_static(&program, PublishPoint::Mem.threshold(), 16)
         .into_iter()
@@ -502,23 +505,32 @@ pub fn static_selection(w: Workload, samples: usize) -> Result<Vec<SelectionPoin
         unit,
     );
     let s = pipe.execute(&program, w.input(samples))?;
-    rows.push(SelectionPoint {
+    Ok(SelectionPoint {
         workload: w.name().to_owned(),
         method: "static".to_owned(),
         cycles: s.stats.cycles,
         folds: pipe.into_hooks().stats().folds(),
         selected: picks.len(),
-    });
-    Ok(rows)
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use asbr_harness::Executor;
+
     use super::*;
+
+    /// Runs a declaration's specs on an executor of their own and projects
+    /// the outcomes.
+    fn run<T>(space: DesignSpace, rows: fn(&[RunSpec], &[RunOutcome]) -> Vec<T>) -> Vec<T> {
+        let specs = space.specs();
+        rows(&specs, &Executor::new().run(&specs).unwrap())
+    }
 
     #[test]
     fn asbr_survives_tiny_caches() {
-        let pts = cache_size(Workload::AdpcmEncode, 150, &[1024, 8192]).unwrap();
+        let space = cache_size_space(&[Workload::AdpcmEncode], 150, &[1024, 8192]);
+        let pts = run(space, cache_size_rows);
         // Smaller caches cost cycles everywhere.
         assert!(pts[0].baseline_cycles >= pts[1].baseline_cycles);
         // ASBR still wins at 1 KB.
@@ -527,7 +539,9 @@ mod tests {
 
     #[test]
     fn predictor_family_has_expected_orderings() {
-        let rows = predictor_family(Workload::AdpcmEncode, 200).unwrap();
+        let w = Workload::AdpcmEncode;
+        let mut rows = run(predictor_family_space(&[w], 200), predictor_family_rows);
+        rows.push(static_profile(w, 200).unwrap());
         assert_eq!(rows.len(), 6);
         let get = |name: &str| rows.iter().find(|r| r.predictor == name).unwrap();
         // Every dynamic predictor beats not-taken.
@@ -543,7 +557,9 @@ mod tests {
 
     #[test]
     fn static_selection_folds_without_profiling() {
-        let rows = static_selection(Workload::AdpcmEncode, 150).unwrap();
+        let w = Workload::AdpcmEncode;
+        let mut rows = run(selection_space(&[w], 150), selection_rows);
+        rows.push(static_selection(w, 150).unwrap());
         let stat = rows.iter().find(|r| r.method == "static").unwrap();
         let prof = rows.iter().find(|r| r.method == "profiled").unwrap();
         assert!(stat.selected > 0);
@@ -555,7 +571,8 @@ mod tests {
 
     #[test]
     fn slower_muldiv_grows_cycles_but_never_changes_results() {
-        let pts = muldiv_latency(Workload::G721Encode, 60, &[(1, 1), (4, 16)]).unwrap();
+        let space = muldiv_latency_space(&[Workload::G721Encode], 60, &[(1, 1), (4, 16)]);
+        let pts = run(space, muldiv_latency_rows);
         assert!(pts[1].baseline_cycles > pts[0].baseline_cycles);
         assert!(pts[1].asbr_cycles > pts[0].asbr_cycles);
         // ASBR still wins under slow functional units.
@@ -564,7 +581,7 @@ mod tests {
 
     #[test]
     fn ras_cuts_return_flushes_on_g721() {
-        let pts = ras(Workload::G721Encode, 60).unwrap();
+        let pts = run(ras_space(&[Workload::G721Encode], 60), ras_rows);
         assert_eq!(pts[0].ras_entries, 0);
         assert!(pts[1].baseline_cycles < pts[0].baseline_cycles, "{pts:?}");
         assert!(pts[0].baseline_indirect_flushes > pts[1].baseline_indirect_flushes);
@@ -574,7 +591,7 @@ mod tests {
 
     #[test]
     fn bigger_bit_never_hurts_folds() {
-        let pts = bit_size(Workload::AdpcmEncode, 150, &[1, 4, 16]).unwrap();
+        let pts = run(bit_size_space(&[Workload::AdpcmEncode], 150, &[1, 4, 16]), bit_size_rows);
         assert_eq!(pts.len(), 3);
         assert!(pts[0].folds <= pts[2].folds, "{pts:?}");
     }
@@ -588,7 +605,7 @@ mod tests {
 
     #[test]
     fn threshold_orders_blocked_counts() {
-        let pts = publish_point(Workload::AdpcmEncode, 150).unwrap();
+        let pts = run(publish_point_space(&[Workload::AdpcmEncode], 150), publish_point_rows);
         // Later publish (bigger threshold) can only block more or fold
         // less.
         assert!(pts[0].folds >= pts[1].folds);

@@ -20,7 +20,7 @@
 //!   path never save a slot.
 
 use asbr_bpred::PredictorKind;
-use asbr_harness::{impl_to_json, Executor, HarnessError, RunOutcome, RunSpec};
+use asbr_harness::{impl_to_json, RunOutcome, RunSpec};
 use asbr_sim::{CycleBucket, NUM_BUCKETS};
 use asbr_workloads::Workload;
 
@@ -134,28 +134,14 @@ pub fn specs(samples: usize) -> Vec<RunSpec> {
         .collect()
 }
 
-/// Regenerates the attribution report at the given input scale.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the underlying runs.
-pub fn table(samples: usize) -> Result<Vec<Row>, HarnessError> {
-    table_with(&Executor::new(), samples)
-}
-
-/// [`table`] on a caller-configured executor (threads, result cache).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the underlying runs.
-pub fn table_with(executor: &Executor, samples: usize) -> Result<Vec<Row>, HarnessError> {
-    let specs = specs(samples);
-    let outcomes = executor.run(&specs)?;
-    Ok(Workload::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, w)| pair_row(w.name(), &outcomes[2 * i], &outcomes[2 * i + 1]))
-        .collect())
+/// Projects the outcomes of [`specs`] onto one row per workload.
+#[must_use]
+pub fn rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<Row> {
+    specs
+        .chunks_exact(2)
+        .zip(outcomes.chunks_exact(2))
+        .map(|(pair, out)| pair_row(pair[0].workload.name(), &out[0], &out[1]))
+        .collect()
 }
 
 fn pair_row(workload: &str, base: &RunOutcome, asbr: &RunOutcome) -> Row {
@@ -257,11 +243,14 @@ pub fn render(rows: &[Row]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use asbr_harness::Executor;
+
     use super::*;
 
     #[test]
     fn buckets_partition_and_branch_savings_sum() {
-        let rows = table(250).unwrap();
+        let specs = specs(250);
+        let rows = rows(&specs, &Executor::new().run(&specs).unwrap());
         assert_eq!(rows.len(), Workload::ALL.len());
         for r in &rows {
             // Each side's buckets partition its cycles, so the bucket

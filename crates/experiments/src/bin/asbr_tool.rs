@@ -62,7 +62,10 @@
 //! (Figures 6 + 11 through the cached engine, with per-run walls in
 //! `results/BENCH_sweep.json`), `motivation`, `fig6x`, `scope`, `power`,
 //! `area` or `ablation-{bit,threshold,sched,aux,banks,latency,ras,cache,
-//! family,static}`.
+//! family,static}`. The runs of every named table go to the executor as
+//! one batch, so a run several tables read simulates once, and the
+//! cache flags reach every table whose runs are `RunSpec`s (see
+//! `docs/harness.md`, "Reproduction campaign").
 //!
 //! Exit codes: `0` success; `1` the command ran and a check failed (lint
 //! findings at or above `--deny`, a `wcet` bound below the simulated
@@ -82,7 +85,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use asbr_asm::{assemble, Program};
 use asbr_bpred::PredictorKind;
@@ -95,9 +98,9 @@ use asbr_flow::{call_aware_depths, candidates, select_static, Cfg};
 use asbr_harness::json::{self, ToJson};
 use asbr_harness::{
     Axis, CacheMode, Constraint, CostModel, DesignSpace, Executor, Exploration, HarnessError,
-    Metric, Objective, ResultCache, RunSpec, SearchStrategy, SweepBench, ThroughputBench,
-    ThroughputSpec, AUX_BTB, PROFILE_PREDICTOR, SAMPLES_FULL, SAMPLES_SMOKE, THROUGHPUT_REPS,
-    THROUGHPUT_SAMPLES,
+    Metric, Objective, ResultCache, RunOutcome, RunSpec, SearchStrategy, SweepBench,
+    ThroughputBench, ThroughputSpec, AUX_BTB, PROFILE_PREDICTOR, SAMPLES_FULL, SAMPLES_SMOKE,
+    THROUGHPUT_REPS, THROUGHPUT_SAMPLES,
 };
 use asbr_profile::{profile, select_branches, SelectionConfig};
 use asbr_sim::{
@@ -601,17 +604,10 @@ fn cmd_wcet(opts: &WcetOpts) -> Result<(), Failure> {
         "{:<34} {:>11} {:>12} {:>9} {:>8}",
         "run", "cycles", "bound", "tight", "credited"
     );
-    // One batch: the specs run in parallel, and the two specs of a codec
-    // share one profiling pass, which the bounds then read.
-    let specs: Vec<RunSpec> = Workload::ALL
-        .iter()
-        .flat_map(|&w| {
-            [
-                RunSpec::baseline(w, PredictorKind::Bimodal { entries: 2048 }, opts.samples),
-                RunSpec::asbr(w, PredictorKind::Bimodal { entries: 512 }, opts.samples),
-            ]
-        })
-        .collect();
+    // One batch of the attribution report's headline pairs (bimodal-2048
+    // baseline, ASBR + bi-512): the specs run in parallel, and the two
+    // specs of a codec share one profiling pass, which the bounds then read.
+    let specs = attribution::specs(opts.samples);
     let outcomes = Executor::new().run(&specs).map_err(|e| e.to_string())?;
     for (spec, mut out) in specs.into_iter().zip(outcomes) {
         let rec = attach_bound(&spec, &mut out).map_err(|e| e.to_string())?;
@@ -784,141 +780,235 @@ fn cmd_explore(opts: &ExploreOpts) -> Result<(), String> {
     Ok(())
 }
 
-/// The executor and input scale every table runs with.
-struct Tables {
-    executor: Executor,
+/// What every table's report reads besides its own runs.
+struct Campaign {
     samples: usize,
+    /// Workers the executor runs.
     threads: usize,
+    /// Wall time of the batch every table's runs rode in.
+    batch_wall: Duration,
 }
 
-/// One named table: runs, prints, and writes its `results/*.json`.
-type Table = fn(&Tables) -> Result<(), String>;
+/// Prints a table and writes its `results/*.json` from its specs and
+/// their outcomes. A run no `RunSpec` describes, it drives itself.
+type Report = fn(&Campaign, &[RunSpec], &[RunOutcome]) -> Result<(), String>;
+
+/// One named table: the runs it reads, and its report.
+struct Table {
+    specs: fn(usize) -> Vec<RunSpec>,
+    report: Report,
+}
+
+/// A table whose report runs nothing through the executor.
+fn unbatched(report: Report) -> Table {
+    Table { specs: |_| Vec::new(), report }
+}
+
+/// Each workload's `arms` rows from the batch, followed by its row from
+/// `hand`, a run driven by hand.
+fn with_hand_run<T>(
+    rows: Vec<T>,
+    arms: usize,
+    hand: impl Fn(Workload) -> Result<T, HarnessError>,
+) -> Result<Vec<T>, String> {
+    let (mut rows, mut all) = (rows.into_iter(), Vec::new());
+    for w in Workload::ALL {
+        all.extend(rows.by_ref().take(arms));
+        all.push(hand(w).map_err(|e| e.to_string())?);
+    }
+    Ok(all)
+}
 
 /// The table called `name`, if there is one.
 fn table(name: &str) -> Option<Table> {
-    let table: Table = match name {
-        "fig6" => Tables::fig6,
-        "fig7" => |t| t.branch_table(Workload::G721Encode, "Figure 7"),
-        "fig9" => |t| t.branch_table(Workload::AdpcmEncode, "Figure 9"),
-        "fig10" => |t| t.branch_table(Workload::AdpcmDecode, "Figure 10"),
-        "fig11" => Tables::fig11,
-        "all" => |t| {
-            t.fig6()?;
-            t.branch_table(Workload::G721Encode, "Figure 7")?;
-            t.branch_table(Workload::G721Decode, "Figure 7b (decode)")?;
-            t.branch_table(Workload::AdpcmEncode, "Figure 9")?;
-            t.branch_table(Workload::AdpcmDecode, "Figure 10")?;
-            t.fig11()
+    Some(match name {
+        "fig6" => Table { specs: fig6_specs, report: fig6 },
+        "fig7" => unbatched(|c, _, _| branch_table(c, Workload::G721Encode, "Figure 7")),
+        "fig9" => unbatched(|c, _, _| branch_table(c, Workload::AdpcmEncode, "Figure 9")),
+        "fig10" => unbatched(|c, _, _| branch_table(c, Workload::AdpcmDecode, "Figure 10")),
+        "fig11" => Table { specs: |n| fig11::space(n).specs(), report: fig11 },
+        "all" => Table {
+            specs: |n| [fig6_specs(n), fig11::space(n).specs()].concat(),
+            report: |c, specs, outcomes| {
+                let at = fig6_specs(c.samples).len();
+                fig6(c, &specs[..at], &outcomes[..at])?;
+                branch_table(c, Workload::G721Encode, "Figure 7")?;
+                branch_table(c, Workload::G721Decode, "Figure 7b (decode)")?;
+                branch_table(c, Workload::AdpcmEncode, "Figure 9")?;
+                branch_table(c, Workload::AdpcmDecode, "Figure 10")?;
+                fig11(c, &specs[at..], &outcomes[at..])
+            },
         },
-        "attribution" => Tables::attribution,
-        "sweep" => Tables::sweep,
-        "motivation" => Tables::motivation,
-        "fig6x" => Tables::fig6x,
-        "scope" => Tables::scope,
-        "power" => Tables::power,
-        "area" => Tables::area,
-        "ablation-banks" => Tables::ablation_banks,
-        "ablation-bit" => |t| t.per_workload(
-            "Ablation A: BIT capacity",
-            "ablation_bit",
-            |w, n| ablation::bit_size(w, n, &[1, 2, 4, 8, 16, 32]),
-            |p| format!(
-                "{:<14} {:<8} cycles {:>12} folds {:>10}",
-                p.workload, p.setting, p.cycles, p.folds
-            ),
-        ),
-        "ablation-threshold" => |t| t.per_workload(
-            "Ablation B: publish point / threshold (Sec. 5.2)",
-            "ablation_threshold",
-            ablation::publish_point,
-            |p| format!(
-                "{:<14} {:<24} cycles {:>12} folds {:>10} blocked {:>9}",
-                p.workload, p.setting, p.cycles, p.folds, p.blocked
-            ),
-        ),
-        "ablation-sched" => |t| t.per_workload(
-            "Ablation C: compiler scheduling support (Sec. 5.1)",
-            "ablation_sched",
-            ablation::scheduling,
-            |p| format!(
-                "{:<14} {:<12} cycles {:>12} folds {:>10}",
-                p.workload, p.setting, p.cycles, p.folds
-            ),
-        ),
-        "ablation-aux" => |t| t.per_workload(
-            "Ablation D: auxiliary predictor size (with same-size no-ASBR baseline)",
-            "ablation_aux",
-            |w, n| ablation::aux_size(w, n, &[64, 128, 256, 512, 1024, 2048]),
-            |p| format!(
-                "{:<14} bi-{:<5} asbr {:>12} baseline {:>12}",
-                p.workload, p.entries, p.asbr_cycles, p.baseline_cycles
-            ),
-        ),
-        "ablation-latency" => |t| t.per_workload(
-            "Ablation F: multiply/divide EX latency",
-            "ablation_latency",
-            |w, n| ablation::muldiv_latency(w, n, &[(1, 1), (2, 8), (4, 16), (8, 34)]),
-            |p| format!(
-                "{:<14} mul={:<2} div={:<2} baseline {:>12} asbr {:>12} gain {:>5.1}%",
-                p.workload,
-                p.latency.0,
-                p.latency.1,
-                p.baseline_cycles,
-                p.asbr_cycles,
-                gain(p.baseline_cycles, p.asbr_cycles)
-            ),
-        ),
-        "ablation-ras" => |t| t.per_workload(
-            "Ablation G: return-address stack",
-            "ablation_ras",
-            ablation::ras,
-            |p| format!(
-                "{:<14} ras={:<2} baseline {:>12} asbr {:>12} (baseline return flushes {})",
-                p.workload,
-                p.ras_entries,
-                p.baseline_cycles,
-                p.asbr_cycles,
-                p.baseline_indirect_flushes
-            ),
-        ),
-        "ablation-cache" => |t| t.per_workload(
-            "Ablation J: cache-size sensitivity",
-            "ablation_cache",
-            |w, n| ablation::cache_size(w, n, &[1024, 2048, 4096, 8192, 16384]),
-            |p| format!(
-                "{:<14} {:>5}B baseline {:>12} asbr {:>12} gain {:>5.1}%",
-                p.workload,
-                p.cache_bytes,
-                p.baseline_cycles,
-                p.asbr_cycles,
-                gain(p.baseline_cycles, p.asbr_cycles)
-            ),
-        ),
-        "ablation-family" => |t| t.per_workload(
-            "Ablation I: general-purpose predictor family study (no ASBR)",
-            "ablation_family",
-            ablation::predictor_family,
-            |r| format!(
-                "{:<14} {:<15} cycles {:>12}  acc {:>5.1}%  bits {:>6}",
-                r.workload,
-                r.predictor,
-                r.cycles,
-                r.accuracy * 100.0,
-                r.storage_bits
-            ),
-        ),
-        "ablation-static" => |t| t.per_workload(
-            "Ablation H: static (profile-free) vs profiled BIT selection",
-            "ablation_static",
-            ablation::static_selection,
-            |p| format!(
-                "{:<14} {:<9} cycles {:>12} folds {:>10} selected {:>2}",
-                p.workload, p.method, p.cycles, p.folds, p.selected
-            ),
-        ),
+        "attribution" => Table { specs: attribution::specs, report: attribution },
+        "sweep" => Table {
+            specs: |n| [fig6_specs(n), fig11::space(n).specs()].concat(),
+            report: sweep,
+        },
+        "motivation" => unbatched(motivation),
+        "fig6x" => Table {
+            // Figure 6 plus a McFarling combining predictor of the same
+            // table size, a stronger baseline than the paper used.
+            specs: |n| {
+                let tournament = PredictorKind::Tournament { hist_bits: 11, entries: 2048 };
+                fig6::space(n, &[&PredictorKind::BASELINES[..], &[tournament]].concat()).specs()
+            },
+            report: |_, s, o| {
+                let title = "Figure 6 extended: + tournament-2048 baseline";
+                print_rows(title, "fig6_extended", &fig6::rows(s, o), |r| {
+                    format!(
+                        "{:<14} {:<11} cycles {:>12}  CPI {:.2}  acc {:.0}%",
+                        r.workload,
+                        r.predictor,
+                        r.cycles,
+                        r.cpi,
+                        r.accuracy * 100.0
+                    )
+                })
+            },
+        },
+        "scope" => unbatched(scope),
+        "power" => Table { specs: costs::power_specs, report: power },
+        "area" => unbatched(area),
+        "ablation-banks" => unbatched(ablation_banks),
+        "ablation-bit" => Table {
+            specs: |n| ablation::bit_size_space(&Workload::ALL, n, &[1, 2, 4, 8, 16, 32]).specs(),
+            report: |_, s, o| {
+                let rows = ablation::bit_size_rows(s, o);
+                print_rows("Ablation A: BIT capacity", "ablation_bit", &rows, |p| {
+                    let (w, setting) = (&p.workload, &p.setting);
+                    format!("{w:<14} {setting:<8} cycles {:>12} folds {:>10}", p.cycles, p.folds)
+                })
+            },
+        },
+        "ablation-threshold" => Table {
+            specs: |n| ablation::publish_point_space(&Workload::ALL, n).specs(),
+            report: |_, s, o| {
+                let title = "Ablation B: publish point / threshold (Sec. 5.2)";
+                print_rows(title, "ablation_threshold", &ablation::publish_point_rows(s, o), |p| {
+                    format!(
+                        "{:<14} {:<24} cycles {:>12} folds {:>10} blocked {:>9}",
+                        p.workload, p.setting, p.cycles, p.folds, p.blocked
+                    )
+                })
+            },
+        },
+        "ablation-sched" => Table {
+            specs: |n| ablation::scheduling_space(&Workload::ALL, n).specs(),
+            report: |_, s, o| {
+                let title = "Ablation C: compiler scheduling support (Sec. 5.1)";
+                print_rows(title, "ablation_sched", &ablation::scheduling_rows(s, o), |p| {
+                    let (w, setting) = (&p.workload, &p.setting);
+                    format!("{w:<14} {setting:<12} cycles {:>12} folds {:>10}", p.cycles, p.folds)
+                })
+            },
+        },
+        "ablation-aux" => Table {
+            specs: |n| {
+                let sizes = [64, 128, 256, 512, 1024, 2048];
+                ablation::aux_size_space(&Workload::ALL, n, &sizes).specs()
+            },
+            report: |_, s, o| {
+                let title =
+                    "Ablation D: auxiliary predictor size (with same-size no-ASBR baseline)";
+                print_rows(title, "ablation_aux", &ablation::aux_size_rows(s, o), |p| {
+                    format!(
+                        "{:<14} bi-{:<5} asbr {:>12} baseline {:>12}",
+                        p.workload, p.entries, p.asbr_cycles, p.baseline_cycles
+                    )
+                })
+            },
+        },
+        "ablation-latency" => Table {
+            specs: |n| {
+                let latencies = [(1, 1), (2, 8), (4, 16), (8, 34)];
+                ablation::muldiv_latency_space(&Workload::ALL, n, &latencies).specs()
+            },
+            report: |_, s, o| {
+                let title = "Ablation F: multiply/divide EX latency";
+                print_rows(title, "ablation_latency", &ablation::muldiv_latency_rows(s, o), |p| {
+                    format!(
+                        "{:<14} mul={:<2} div={:<2} baseline {:>12} asbr {:>12} gain {:>5.1}%",
+                        p.workload,
+                        p.latency.0,
+                        p.latency.1,
+                        p.baseline_cycles,
+                        p.asbr_cycles,
+                        gain(p.baseline_cycles, p.asbr_cycles)
+                    )
+                })
+            },
+        },
+        "ablation-ras" => Table {
+            specs: |n| ablation::ras_space(&Workload::ALL, n).specs(),
+            report: |_, s, o| {
+                let rows = ablation::ras_rows(s, o);
+                print_rows("Ablation G: return-address stack", "ablation_ras", &rows, |p| {
+                    format!(
+                        "{:<14} ras={:<2} baseline {:>12} asbr {:>12} (baseline return flushes {})",
+                        p.workload,
+                        p.ras_entries,
+                        p.baseline_cycles,
+                        p.asbr_cycles,
+                        p.baseline_indirect_flushes
+                    )
+                })
+            },
+        },
+        "ablation-cache" => Table {
+            specs: |n| {
+                let sizes = [1024, 2048, 4096, 8192, 16384];
+                ablation::cache_size_space(&Workload::ALL, n, &sizes).specs()
+            },
+            report: |_, s, o| {
+                let title = "Ablation J: cache-size sensitivity";
+                print_rows(title, "ablation_cache", &ablation::cache_size_rows(s, o), |p| {
+                    format!(
+                        "{:<14} {:>5}B baseline {:>12} asbr {:>12} gain {:>5.1}%",
+                        p.workload,
+                        p.cache_bytes,
+                        p.baseline_cycles,
+                        p.asbr_cycles,
+                        gain(p.baseline_cycles, p.asbr_cycles)
+                    )
+                })
+            },
+        },
+        "ablation-family" => Table {
+            specs: |n| ablation::predictor_family_space(&Workload::ALL, n).specs(),
+            report: |c, s, o| {
+                let arms = ablation::predictor_family_rows(s, o);
+                let hinted = |w| ablation::static_profile(w, c.samples);
+                let rows = with_hand_run(arms, ablation::FAMILY.len(), hinted)?;
+                let title = "Ablation I: general-purpose predictor family study (no ASBR)";
+                print_rows(title, "ablation_family", &rows, |r| {
+                    format!(
+                        "{:<14} {:<15} cycles {:>12}  acc {:>5.1}%  bits {:>6}",
+                        r.workload,
+                        r.predictor,
+                        r.cycles,
+                        r.accuracy * 100.0,
+                        r.storage_bits
+                    )
+                })
+            },
+        },
+        "ablation-static" => Table {
+            specs: |n| ablation::selection_space(&Workload::ALL, n).specs(),
+            report: |c, s, o| {
+                let profiled = ablation::selection_rows(s, o);
+                let static_point = |w| ablation::static_selection(w, c.samples);
+                let rows = with_hand_run(profiled, 1, static_point)?;
+                let title = "Ablation H: static (profile-free) vs profiled BIT selection";
+                print_rows(title, "ablation_static", &rows, |p| {
+                    format!(
+                        "{:<14} {:<9} cycles {:>12} folds {:>10} selected {:>2}",
+                        p.workload, p.method, p.cycles, p.folds, p.selected
+                    )
+                })
+            },
+        },
         _ => return None,
-    };
-    Some(table)
+    })
 }
 
 /// Percent of the baseline's cycles that ASBR saves.
@@ -936,226 +1026,212 @@ fn save_json<T: ToJson + ?Sized>(name: &str, value: &T) {
     }
 }
 
-impl Tables {
-    /// One ablation arm: runs `run` on every workload, prints each row
-    /// as `line` formats it, and saves all rows as `results/<file>.json`.
-    fn per_workload<T: ToJson>(
-        &self,
-        title: &str,
-        file: &str,
-        run: impl Fn(Workload, usize) -> Result<Vec<T>, HarnessError>,
-        line: impl Fn(&T) -> String,
-    ) -> Result<(), String> {
-        section(title);
-        let mut all = Vec::new();
-        for w in Workload::ALL {
-            let rows = run(w, self.samples).map_err(|e| e.to_string())?;
-            for row in &rows {
-                println!("{}", line(row));
-            }
-            all.extend(rows);
-        }
-        save_json(file, &all);
-        Ok(())
+/// Prints `rows` under `title`, one `line` each, and saves them as
+/// `results/<file>.json`.
+fn print_rows<T: ToJson>(
+    title: &str,
+    file: &str,
+    rows: &[T],
+    line: impl Fn(&T) -> String,
+) -> Result<(), String> {
+    section(title);
+    for row in rows {
+        println!("{}", line(row));
     }
-
-    fn fig6(&self) -> Result<(), String> {
-        section("Figure 6: branch predictability of the benchmarks (baseline)");
-        let rows = fig6::table_with(&self.executor, self.samples).map_err(|e| e.to_string())?;
-        println!("{}", fig6::render(&rows));
-        save_json("fig6", &rows);
-        Ok(())
-    }
-
-    fn branch_table(&self, w: Workload, name: &str) -> Result<(), String> {
-        section(&format!("{name}: branches selected for {}", w.name()));
-        let t = branch_tables::table(w, self.samples, 16).map_err(|e| e.to_string())?;
-        println!("{}", branch_tables::render(&t));
-        save_json(&name.to_lowercase().replace(' ', "_"), &t);
-        Ok(())
-    }
-
-    fn fig11(&self) -> Result<(), String> {
-        section("Figure 11: application-specific branch resolution results");
-        let rows = fig11::table_with(&self.executor, self.samples, fig11::Config::default())
-            .map_err(|e| e.to_string())?;
-        println!("{}", fig11::render(&rows));
-        println!(
-            "(improvements compare not-taken vs baseline not-taken, bi-512/bi-256 vs baseline bimodal-2048, as in the paper)"
-        );
-        save_json("fig11", &rows);
-        Ok(())
-    }
-
-    fn attribution(&self) -> Result<(), String> {
-        section("Attribution: baseline -> ASBR cycle delta by bucket");
-        let rows =
-            attribution::table_with(&self.executor, self.samples).map_err(|e| e.to_string())?;
-        print!("{}", attribution::render(&rows));
-        println!(
-            "(bimodal-2048 baseline vs ASBR with bi-512 auxiliary; per-branch savings sum \
-             to ΔUseful + ΔBranchFlush by construction)"
-        );
-        save_json("attribution", &rows);
-        Ok(())
-    }
-
-    fn sweep(&self) -> Result<(), String> {
-        section("Sweep: Figure 6 + Figure 11 through the parallel cached engine");
-        let mut specs = fig6::space(self.samples, &PredictorKind::BASELINES).specs();
-        specs.extend(fig11::space(self.samples, fig11::Config::default()).specs());
-        let started = Instant::now();
-        let outcomes = self.executor.run(&specs).map_err(|e| e.to_string())?;
-        let total = started.elapsed();
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.threads
-        };
-        let bench = SweepBench::from_runs(&specs, &outcomes, threads, total);
-        for r in &bench.runs {
-            println!(
-                "{:<36} cycles {:>12} wall {:>9.3}ms{}",
-                r.label,
-                r.cycles,
-                r.wall_nanos as f64 / 1e6,
-                if r.cached { "  [cached]" } else { "" }
-            );
-        }
-        println!(
-            "\n{} runs on {} threads in {:.3}s ({} cache hits, {} misses)",
-            bench.runs.len(),
-            threads,
-            total.as_secs_f64(),
-            bench.cache_hits(),
-            bench.cache_misses()
-        );
-        match json::write("results/BENCH_sweep.json", &bench) {
-            Ok(()) => println!("wrote results/BENCH_sweep.json"),
-            Err(e) => eprintln!("warning: {e}"),
-        }
-        Ok(())
-    }
-
-    fn motivation(&self) -> Result<(), String> {
-        section("Motivation kernels (Figures 1 and 2)");
-        let n = self.samples.min(20_000);
-        for r in [motivation::fig2(n), motivation::fig1(n)] {
-            let r = r.map_err(|e| e.to_string())?;
-            println!("{}: focus branch executed {} times", r.kernel, r.exec);
-            for (name, acc) in &r.accuracy {
-                println!("  {name:<10} accuracy {:.2}", acc);
-            }
-            println!(
-                "  ASBR folds {} | cycles {} -> {} ({:+.1}%)",
-                r.folds,
-                r.baseline_cycles,
-                r.asbr_cycles,
-                gain(r.baseline_cycles, r.asbr_cycles)
-            );
-            save_json(
-                if r.kernel.contains('2') { "motivation_fig2" } else { "motivation_fig1" },
-                &r,
-            );
-        }
-        Ok(())
-    }
-
-    fn fig6x(&self) -> Result<(), String> {
-        section("Figure 6 extended: + tournament-2048 baseline");
-        let rows = fig6::extended_table(self.samples).map_err(|e| e.to_string())?;
-        for r in &rows {
-            println!(
-                "{:<14} {:<11} cycles {:>12}  CPI {:.2}  acc {:.0}%",
-                r.workload,
-                r.predictor,
-                r.cycles,
-                r.cpi,
-                r.accuracy * 100.0
-            );
-        }
-        save_json("fig6_extended", &rows);
-        Ok(())
-    }
-
-    fn scope(&self) -> Result<(), String> {
-        section("Scope extension: ASBR on additional control-dominated kernels");
-        let rows = scope::table(self.samples.min(5000)).map_err(|e| e.to_string())?;
-        for r in &rows {
-            println!(
-                "{:<24} baseline {:>10} asbr {:>10}  gain {:>5.1}%  folds {:>8}  selected {}  output {}",
-                r.kernel,
-                r.baseline_cycles,
-                r.asbr_cycles,
-                r.improvement * 100.0,
-                r.folds,
-                r.selected,
-                if r.output_ok { "exact" } else { "MISMATCH" }
-            );
-        }
-        save_json("scope", &rows);
-        Ok(())
-    }
-
-    fn power(&self) -> Result<(), String> {
-        section("Power accounting (paper Sec. 1 claim)");
-        let rows = costs::power_table(self.samples).map_err(|e| e.to_string())?;
-        for r in &rows {
-            println!(
-                "{:<14} baseline {:>14.0} asbr {:>14.0}  reduction {:>5.1}%  wrong-path slots {} -> {}",
-                r.workload,
-                r.baseline_energy,
-                r.asbr_energy,
-                r.reduction * 100.0,
-                r.baseline_squashed,
-                r.asbr_squashed
-            );
-        }
-        save_json("power_table", &rows);
-        Ok(())
-    }
-
-    fn area(&self) -> Result<(), String> {
-        section("Front-end storage (paper Sec. 6 area claim)");
-        let rows = costs::area_table().map_err(|e| e.to_string())?;
-        for r in &rows {
-            println!(
-                "{:<36} predictor {:>7}  btb {:>7}  asbr {:>6}  total {:>7} bits",
-                r.config, r.predictor_bits, r.btb_bits, r.asbr_bits, r.total()
-            );
-        }
-        save_json("area_table", &rows);
-        Ok(())
-    }
-
-    fn ablation_banks(&self) -> Result<(), String> {
-        section("Ablation E: BIT bank switching (Sec. 7)");
-        let iterations = u32::try_from(self.samples)
-            .map_err(|_| format!("{} samples do not fit a u32 iteration count", self.samples))?;
-        let (banked, single) =
-            ablation::bank_switching(iterations).map_err(|e| e.to_string())?;
-        println!("two banks: {banked} folds; single bank: {single} folds");
-        save_json("ablation_banks", &(banked, single));
-        Ok(())
-    }
+    save_json(file, rows);
+    Ok(())
 }
 
-fn cmd_tables(names: &[String], tables: &Tables) -> Result<(), String> {
-    let all = ["all".to_owned()];
-    let names = if names.is_empty() { &all[..] } else { names };
-    let runs = names
-        .iter()
-        .map(|name| table(name).map(|f| (name, f)).ok_or_else(|| format!("unknown table `{name}`")))
-        .collect::<Result<Vec<_>, String>>()?;
-    for (name, run) in runs {
-        let started = Instant::now();
-        run(tables).map_err(|e| format!("{name}: {e}"))?;
-        eprintln!(
-            "\n[{name} done in {:.1}s at {} samples]",
-            started.elapsed().as_secs_f64(),
-            tables.samples
+fn fig6_specs(samples: usize) -> Vec<RunSpec> {
+    fig6::space(samples, &PredictorKind::BASELINES).specs()
+}
+
+fn fig6(_: &Campaign, specs: &[RunSpec], outcomes: &[RunOutcome]) -> Result<(), String> {
+    section("Figure 6: branch predictability of the benchmarks (baseline)");
+    let rows = fig6::rows(specs, outcomes);
+    println!("{}", fig6::render(&rows));
+    save_json("fig6", &rows);
+    Ok(())
+}
+
+fn branch_table(c: &Campaign, w: Workload, name: &str) -> Result<(), String> {
+    section(&format!("{name}: branches selected for {}", w.name()));
+    let t = branch_tables::table(w, c.samples, 16).map_err(|e| e.to_string())?;
+    println!("{}", branch_tables::render(&t));
+    save_json(&name.to_lowercase().replace(' ', "_"), &t);
+    Ok(())
+}
+
+fn fig11(_: &Campaign, specs: &[RunSpec], outcomes: &[RunOutcome]) -> Result<(), String> {
+    section("Figure 11: application-specific branch resolution results");
+    let rows = fig11::rows(specs, outcomes);
+    println!("{}", fig11::render(&rows));
+    println!(
+        "(improvements compare not-taken vs baseline not-taken, bi-512/bi-256 vs baseline bimodal-2048, as in the paper)"
+    );
+    save_json("fig11", &rows);
+    Ok(())
+}
+
+fn attribution(_: &Campaign, specs: &[RunSpec], outcomes: &[RunOutcome]) -> Result<(), String> {
+    section("Attribution: baseline -> ASBR cycle delta by bucket");
+    let rows = attribution::rows(specs, outcomes);
+    print!("{}", attribution::render(&rows));
+    println!(
+        "(bimodal-2048 baseline vs ASBR with bi-512 auxiliary; per-branch savings sum \
+         to ΔUseful + ΔBranchFlush by construction)"
+    );
+    save_json("attribution", &rows);
+    Ok(())
+}
+
+/// Figures 6 and 11 as a bench record: per-run walls and cache hits.
+/// Its total wall is the whole batch's, which holds its runs and those
+/// of every other table named with it.
+fn sweep(c: &Campaign, specs: &[RunSpec], outcomes: &[RunOutcome]) -> Result<(), String> {
+    section("Sweep: Figure 6 + Figure 11 through the parallel cached engine");
+    let bench = SweepBench::from_runs(specs, outcomes, c.threads, c.batch_wall);
+    for r in &bench.runs {
+        println!(
+            "{:<36} cycles {:>12} wall {:>9.3}ms{}",
+            r.label,
+            r.cycles,
+            r.wall_nanos as f64 / 1e6,
+            if r.cached { "  [cached]" } else { "" }
         );
     }
+    println!(
+        "\n{} runs on {} threads in {:.3}s ({} cache hits, {} misses)",
+        bench.runs.len(),
+        c.threads,
+        c.batch_wall.as_secs_f64(),
+        bench.cache_hits(),
+        bench.cache_misses()
+    );
+    match json::write("results/BENCH_sweep.json", &bench) {
+        Ok(()) => println!("wrote results/BENCH_sweep.json"),
+        Err(e) => eprintln!("warning: {e}"),
+    }
+    Ok(())
+}
+
+fn motivation(c: &Campaign, _: &[RunSpec], _: &[RunOutcome]) -> Result<(), String> {
+    section("Motivation kernels (Figures 1 and 2)");
+    let n = c.samples.min(20_000);
+    for r in [motivation::fig2(n), motivation::fig1(n)] {
+        let r = r.map_err(|e| e.to_string())?;
+        println!("{}: focus branch executed {} times", r.kernel, r.exec);
+        for (name, acc) in &r.accuracy {
+            println!("  {name:<10} accuracy {:.2}", acc);
+        }
+        println!(
+            "  ASBR folds {} | cycles {} -> {} ({:+.1}%)",
+            r.folds,
+            r.baseline_cycles,
+            r.asbr_cycles,
+            gain(r.baseline_cycles, r.asbr_cycles)
+        );
+        save_json(
+            if r.kernel.contains('2') { "motivation_fig2" } else { "motivation_fig1" },
+            &r,
+        );
+    }
+    Ok(())
+}
+
+fn scope(c: &Campaign, _: &[RunSpec], _: &[RunOutcome]) -> Result<(), String> {
+    let rows = scope::table(c.samples.min(5000)).map_err(|e| e.to_string())?;
+    let title = "Scope extension: ASBR on additional control-dominated kernels";
+    print_rows(title, "scope", &rows, |r| {
+        format!(
+            "{:<24} baseline {:>10} asbr {:>10}  gain {:>5.1}%  folds {:>8}  selected {}  output {}",
+            r.kernel,
+            r.baseline_cycles,
+            r.asbr_cycles,
+            r.improvement * 100.0,
+            r.folds,
+            r.selected,
+            if r.output_ok { "exact" } else { "MISMATCH" }
+        )
+    })
+}
+
+fn power(_: &Campaign, specs: &[RunSpec], outcomes: &[RunOutcome]) -> Result<(), String> {
+    let model = costs::model().map_err(|e| e.to_string())?;
+    let rows = costs::power_rows(&model, specs, outcomes);
+    print_rows("Power accounting (paper Sec. 1 claim)", "power_table", &rows, |r| {
+        format!(
+            "{:<14} baseline {:>14.0} asbr {:>14.0}  reduction {:>5.1}%  wrong-path slots {} -> {}",
+            r.workload,
+            r.baseline_energy,
+            r.asbr_energy,
+            r.reduction * 100.0,
+            r.baseline_squashed,
+            r.asbr_squashed
+        )
+    })
+}
+
+fn area(_: &Campaign, _: &[RunSpec], _: &[RunOutcome]) -> Result<(), String> {
+    let rows = costs::area_table().map_err(|e| e.to_string())?;
+    print_rows("Front-end storage (paper Sec. 6 area claim)", "area_table", &rows, |r| {
+        format!(
+            "{:<36} predictor {:>7}  btb {:>7}  asbr {:>6}  total {:>7} bits",
+            r.config, r.predictor_bits, r.btb_bits, r.asbr_bits, r.total()
+        )
+    })
+}
+
+fn ablation_banks(c: &Campaign, _: &[RunSpec], _: &[RunOutcome]) -> Result<(), String> {
+    section("Ablation E: BIT bank switching (Sec. 7)");
+    let iterations = u32::try_from(c.samples)
+        .map_err(|_| format!("{} samples do not fit a u32 iteration count", c.samples))?;
+    let (banked, single) = ablation::bank_switching(iterations).map_err(|e| e.to_string())?;
+    println!("two banks: {banked} folds; single bank: {single} folds");
+    save_json("ablation_banks", &(banked, single));
+    Ok(())
+}
+
+/// Runs every named table's specs as one batch on `executor`, then has
+/// each table report from its own slice of the outcomes, in name order.
+fn cmd_tables(
+    names: &[String],
+    executor: &Executor,
+    samples: usize,
+    threads: usize,
+) -> Result<(), String> {
+    let all = ["all".to_owned()];
+    let names = if names.is_empty() { &all[..] } else { names };
+    let tables = names
+        .iter()
+        .map(|name| table(name).map(|t| (name, t)).ok_or_else(|| format!("unknown table `{name}`")))
+        .collect::<Result<Vec<_>, String>>()?;
+    let started = Instant::now();
+    let own: Vec<Vec<RunSpec>> = tables.iter().map(|(_, t)| (t.specs)(samples)).collect();
+    let specs = own.concat();
+    let outcomes = executor.run(&specs).map_err(|e| e.to_string())?;
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, usize::from),
+        n => n,
+    };
+    let campaign = Campaign { samples, threads, batch_wall: started.elapsed() };
+    let mut at = 0;
+    for ((name, t), own) in tables.iter().zip(&own) {
+        let outcomes = &outcomes[at..at + own.len()];
+        at += own.len();
+        (t.report)(&campaign, own, outcomes).map_err(|e| format!("{name}: {e}"))?;
+    }
+    let s = executor.stats();
+    eprintln!(
+        "\n[tables: {} specs, {} distinct, {} computed, {} cache hits, {} machine hits \
+         in {:.1}s at {samples} samples]",
+        s.submitted + s.dedup_hits,
+        s.submitted,
+        s.computed,
+        s.cache_hits,
+        s.machine_hits,
+        started.elapsed().as_secs_f64(),
+    );
     Ok(())
 }
 
@@ -1199,14 +1275,11 @@ fn real_main() -> Result<(), Failure> {
             names.push(arg.to_owned());
             Ok(true)
         })?;
-        let tables = Tables {
-            executor: Executor::new()
-                .threads(common.threads)
-                .cache(common.cache_mode(ResultCache::default_root())?),
-            samples: common.samples.unwrap_or(SAMPLES_FULL),
-            threads: common.threads,
-        };
-        return Ok(cmd_tables(&names, &tables)?);
+        let executor = Executor::new()
+            .threads(common.threads)
+            .cache(common.cache_mode(ResultCache::default_root())?);
+        let samples = common.samples.unwrap_or(SAMPLES_FULL);
+        return Ok(cmd_tables(&names, &executor, samples, common.threads)?);
     }
     if cmd == "lint" {
         let mut opts = LintOpts {

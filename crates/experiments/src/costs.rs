@@ -6,18 +6,18 @@
 //! "drastically reduce area and still keep the original branch prediction
 //! rates by using a much more lightweight branch predictor".
 //!
-//! The models behind both claims are no longer private to this module:
-//! they were promoted to [`asbr_harness::cost::CostModel`] (per-event
-//! energy entries, per-structure area weights, loadable from
-//! `results/area.json` / `results/power.json`) so that design-space
-//! exploration can optimize over them as first-class objectives. This
-//! experiment is now a thin consumer: it loads the model, runs the
-//! paper's two comparisons through it, and renders the rows.
+//! The models behind both claims live in
+//! [`asbr_harness::cost::CostModel`] (per-event energy entries,
+//! per-structure area weights, loadable from `results/area.json` /
+//! `results/power.json`), where design-space exploration optimizes over
+//! them too. This module is a thin consumer: [`power_specs`] lists the
+//! power comparison's runs, [`power_rows`] charges their outcomes
+//! through the model, and the area comparison is static.
 
 use std::path::Path;
 
 use asbr_bpred::PredictorKind;
-use asbr_harness::{impl_to_json, CostModel, Executor, HarnessError, RunSpec};
+use asbr_harness::{impl_to_json, CostModel, HarnessError, RunOutcome, RunSpec};
 use asbr_workloads::Workload;
 
 /// Loads the cost model the experiments charge against: the shipped
@@ -51,43 +51,41 @@ pub struct PowerRow {
 
 impl_to_json!(PowerRow { workload, baseline_energy, asbr_energy, baseline_squashed, asbr_squashed, reduction });
 
-/// Runs the power comparison: baseline (bimodal-2048, full BTB) vs ASBR
-/// (BIT-16 + bi-256 + quarter BTB), charged through [`model`].
-///
-/// # Errors
-///
-/// Propagates any [`HarnessError`] from the runs or the model load.
-pub fn power_table(samples: usize) -> Result<Vec<PowerRow>, HarnessError> {
-    let model = model()?;
+/// The power comparison's specs: per workload, the baseline
+/// (bimodal-2048, full BTB) then ASBR (BIT-16 + bi-256 + quarter BTB).
+#[must_use]
+pub fn power_specs(samples: usize) -> Vec<RunSpec> {
     let baseline_kind = PredictorKind::Bimodal { entries: 2048 };
     let aux_kind = PredictorKind::Bimodal { entries: 256 };
-
-    let specs: Vec<RunSpec> = Workload::ALL
+    Workload::ALL
         .into_iter()
         .flat_map(|w| {
             [RunSpec::baseline(w, baseline_kind, samples), RunSpec::asbr(w, aux_kind, samples)]
         })
-        .collect();
-    let outcomes = Executor::new().run(&specs)?;
+        .collect()
+}
 
-    let mut rows = Vec::new();
-    for (w, (pair_specs, pair)) in Workload::ALL
-        .into_iter()
-        .zip(specs.chunks_exact(2).zip(outcomes.chunks_exact(2)))
-    {
-        let (base, asbr) = (&pair[0], &pair[1]);
-        let baseline_energy = model.energy_of(&pair_specs[0], base);
-        let asbr_energy = model.energy_of(&pair_specs[1], asbr);
-        rows.push(PowerRow {
-            workload: w.name().to_owned(),
-            baseline_energy,
-            asbr_energy,
-            baseline_squashed: base.summary.stats.activity.squashed,
-            asbr_squashed: asbr.summary.stats.activity.squashed,
-            reduction: 1.0 - asbr_energy / baseline_energy,
-        });
-    }
-    Ok(rows)
+/// Charges the outcomes of [`power_specs`] through `model`: one row per
+/// workload.
+#[must_use]
+pub fn power_rows(model: &CostModel, specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<PowerRow> {
+    specs
+        .chunks_exact(2)
+        .zip(outcomes.chunks_exact(2))
+        .map(|(pair_specs, pair)| {
+            let (base, asbr) = (&pair[0], &pair[1]);
+            let baseline_energy = model.energy_of(&pair_specs[0], base);
+            let asbr_energy = model.energy_of(&pair_specs[1], asbr);
+            PowerRow {
+                workload: pair_specs[0].workload.name().to_owned(),
+                baseline_energy,
+                asbr_energy,
+                baseline_squashed: base.summary.stats.activity.squashed,
+                asbr_squashed: asbr.summary.stats.activity.squashed,
+                reduction: 1.0 - asbr_energy / baseline_energy,
+            }
+        })
+        .collect()
 }
 
 /// One row of the area comparison.
@@ -183,7 +181,9 @@ mod tests {
 
     #[test]
     fn asbr_reduces_energy_on_adpcm() {
-        let rows = power_table(200).unwrap();
+        let specs = power_specs(200);
+        let outcomes = asbr_harness::Executor::new().run(&specs).unwrap();
+        let rows = power_rows(&model().unwrap(), &specs, &outcomes);
         assert_eq!(rows.len(), 4);
         for r in rows.iter().filter(|r| r.workload.starts_with("ADPCM")) {
             assert!(

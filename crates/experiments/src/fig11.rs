@@ -10,9 +10,7 @@
 //! bimodal predictor").
 
 use asbr_bpred::PredictorKind;
-use asbr_harness::{
-    impl_to_json, ArmSpec, AsbrSpec, Axis, DesignSpace, Executor, HarnessError, MicroTweaks, RunSpec, AUX_BTB,
-};
+use asbr_harness::{impl_to_json, ArmSpec, Axis, DesignSpace, RunOutcome, RunSpec};
 use asbr_workloads::Workload;
 
 use crate::tablefmt::{thousands, Table};
@@ -48,71 +46,35 @@ pub struct Row {
 
 impl_to_json!(Row { workload, aux, cycles, baseline_cycles, improvement, folds, blocked, selected });
 
-/// Configuration of the Figure 11 sweep: the ASBR knobs plus the two
-/// machine parameters that ride alongside a [`RunSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Config {
-    /// ASBR unit knobs (publish point, BIT capacity, hoisting).
-    pub knobs: AsbrSpec,
-    /// BTB size for the auxiliary predictor (`None` = the paper's
-    /// quarter-size [`AUX_BTB`]).
-    pub btb_entries: Option<usize>,
-    /// Shared microarchitectural tweaks.
-    pub tweaks: MicroTweaks,
-}
-
-impl Config {
-    fn btb(&self) -> usize {
-        self.btb_entries.unwrap_or(AUX_BTB)
-    }
-}
-
 /// The design space behind Figure 11: the same-class baseline arm of
 /// each auxiliary, then the ASBR arm of each, over every benchmark. The
 /// duplicate bimodal-2048 baseline arms collapse in the executor's dedup
 /// layer.
 #[must_use]
-pub fn space(samples: usize, cfg: Config) -> DesignSpace {
+pub fn space(samples: usize) -> DesignSpace {
     let baselines = AUXILIARIES.map(|(_, baseline)| ArmSpec::baseline(baseline));
-    let asbr = AUXILIARIES.map(|(aux, _)| ArmSpec::asbr_with(aux, cfg.knobs, cfg.btb()));
-    let base = RunSpec::baseline(Workload::AdpcmEncode, PredictorKind::NotTaken, samples)
-        .with_tweaks(cfg.tweaks);
-    DesignSpace::new(base)
+    let asbr = AUXILIARIES.map(|(aux, _)| ArmSpec::asbr(aux));
+    DesignSpace::new(RunSpec::baseline(Workload::AdpcmEncode, PredictorKind::NotTaken, samples))
         .axis(Axis::arms(baselines.into_iter().chain(asbr)))
         .axis(Axis::workloads(Workload::ALL))
 }
 
-/// Regenerates Figure 11 at the given input scale.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the underlying runs.
-pub fn table(samples: usize, cfg: Config) -> Result<Vec<Row>, HarnessError> {
-    table_with(&Executor::new(), samples, cfg)
-}
-
-/// [`table`] on a caller-configured executor (threads, result cache).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the underlying runs.
-pub fn table_with(
-    executor: &Executor,
-    samples: usize,
-    cfg: Config,
-) -> Result<Vec<Row>, HarnessError> {
-    let outcomes = executor.run(&space(samples, cfg).specs())?;
+/// Projects the outcomes of [`space`]'s specs onto its rows: one per
+/// benchmark and auxiliary, benchmark-major.
+#[must_use]
+pub fn rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<Row> {
     let workloads = Workload::ALL.len();
-    let mut rows = Vec::with_capacity(workloads * AUXILIARIES.len());
+    let arms = AUXILIARIES.len();
+    let mut rows = Vec::with_capacity(workloads * arms);
     // Space order is arm-major, workload-minor: baselines occupy the
-    // first AUXILIARIES.len() blocks, ASBR arms the next.
-    for (wi, w) in Workload::ALL.into_iter().enumerate() {
-        for (ai, (aux, _)) in AUXILIARIES.into_iter().enumerate() {
-            let base = &outcomes[ai * workloads + wi];
-            let run = &outcomes[(AUXILIARIES.len() + ai) * workloads + wi];
+    // first `arms` blocks, ASBR arms the next.
+    for wi in 0..workloads {
+        for ai in 0..arms {
+            let at = (arms + ai) * workloads + wi;
+            let (spec, run, base) = (&specs[at], &outcomes[at], &outcomes[ai * workloads + wi]);
             rows.push(Row {
-                workload: w.name().to_owned(),
-                aux: aux.label(),
+                workload: spec.workload.name().to_owned(),
+                aux: spec.predictor.label(),
                 cycles: run.cycles(),
                 baseline_cycles: base.cycles(),
                 improvement: run.improvement_over(base),
@@ -122,7 +84,7 @@ pub fn table_with(
             });
         }
     }
-    Ok(rows)
+    rows
 }
 
 /// Renders in the paper's layout.
@@ -152,11 +114,14 @@ pub fn render(rows: &[Row]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use asbr_harness::Executor;
+
     use super::*;
 
     #[test]
     fn asbr_improves_over_each_baseline_class() {
-        let rows = table(250, Config::default()).unwrap();
+        let specs = space(250).specs();
+        let rows = rows(&specs, &Executor::new().run(&specs).unwrap());
         assert_eq!(rows.len(), 12);
         for r in &rows {
             assert!(r.folds > 0, "{} {} never folded", r.workload, r.aux);

@@ -5,7 +5,7 @@
 //! cycles, CPI, and accuracy measurements are given for each predictor."
 
 use asbr_bpred::PredictorKind;
-use asbr_harness::{impl_to_json, Axis, DesignSpace, Executor, HarnessError, RunSpec};
+use asbr_harness::{impl_to_json, Axis, DesignSpace, RunOutcome, RunSpec};
 use asbr_workloads::Workload;
 
 use crate::tablefmt::{thousands, Table};
@@ -36,47 +36,13 @@ pub fn space(samples: usize, kinds: &[PredictorKind]) -> DesignSpace {
         .axis(Axis::workloads(Workload::ALL))
 }
 
-/// Regenerates Figure 6 at the given input scale.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the 12 underlying runs.
-pub fn table(samples: usize) -> Result<Vec<Row>, HarnessError> {
-    table_with(&Executor::new(), samples)
-}
-
-/// [`table`] on a caller-configured executor (threads, result cache).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the 12 underlying runs.
-pub fn table_with(executor: &Executor, samples: usize) -> Result<Vec<Row>, HarnessError> {
-    table_for(executor, samples, &PredictorKind::BASELINES)
-}
-
-/// Figure 6 extended with a McFarling combining predictor of the same
-/// table size — a stronger general-purpose baseline than the paper used,
-/// for context.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn extended_table(samples: usize) -> Result<Vec<Row>, HarnessError> {
-    let mut kinds = PredictorKind::BASELINES.to_vec();
-    kinds.push(PredictorKind::Tournament { hist_bits: 11, entries: 2048 });
-    table_for(&Executor::new(), samples, &kinds)
-}
-
-fn table_for(
-    executor: &Executor,
-    samples: usize,
-    kinds: &[PredictorKind],
-) -> Result<Vec<Row>, HarnessError> {
-    let specs = space(samples, kinds).specs();
-    let outcomes = executor.run(&specs)?;
-    Ok(specs
+/// Projects the outcomes of a [`space`]'s specs onto its rows, one per
+/// spec.
+#[must_use]
+pub fn rows(specs: &[RunSpec], outcomes: &[RunOutcome]) -> Vec<Row> {
+    specs
         .iter()
-        .zip(&outcomes)
+        .zip(outcomes)
         .map(|(spec, out)| Row {
             workload: spec.workload.name().to_owned(),
             predictor: spec.predictor.label(),
@@ -84,7 +50,7 @@ fn table_for(
             cpi: out.summary.stats.cpi(),
             accuracy: out.summary.stats.accuracy(),
         })
-        .collect())
+        .collect()
 }
 
 /// Renders the rows in the paper's layout (predictors as rows, benchmarks
@@ -123,6 +89,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use asbr_harness::json::{ToJson, Value};
+    use asbr_harness::Executor;
 
     use super::*;
 
@@ -143,7 +110,8 @@ mod tests {
 
     #[test]
     fn shape_and_orderings() {
-        let rows = table(150).unwrap();
+        let specs = space(150, &PredictorKind::BASELINES).specs();
+        let rows = rows(&specs, &Executor::new().run(&specs).unwrap());
         assert_eq!(rows.len(), 12);
         // Accuracy ordering the paper shows: dynamic predictors beat
         // static not-taken on every benchmark.

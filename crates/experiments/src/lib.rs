@@ -12,10 +12,10 @@
 //! | Figures 1–5 (motivation) | [`motivation`] | executable versions of the motivating fragments |
 //! | (extensions) | [`ablation`] | BIT size, publish threshold, scheduling, auxiliary size, BIT banks |
 //!
-//! Experiments describe runs as [`asbr_harness::RunSpec`] values, fan
-//! sweeps out with [`asbr_harness::DesignSpace`], and execute them on
-//! the parallel, cached [`asbr_harness::Executor`] — see
-//! `docs/harness.md`. The [`attribution`] module decomposes the headline
+//! Experiments declare their runs as [`asbr_harness::RunSpec`] values
+//! (often a [`asbr_harness::DesignSpace`]) plus a projection of the
+//! outcomes onto rows; `asbr_tool tables` runs them as one batch on one
+//! cached [`asbr_harness::Executor`] — see `docs/harness.md`. The [`attribution`] module decomposes the headline
 //! baseline → ASBR cycle deltas into the named per-cycle buckets of
 //! [`asbr_sim::CycleAttribution`] — see `docs/observability.md`.
 //!

@@ -66,22 +66,10 @@ impl ArmSpec {
         ArmSpec { predictor, btb_entries: BASELINE_BTB, asbr: None }
     }
 
-    /// A baseline arm with an explicit BTB capacity.
-    #[must_use]
-    pub fn baseline_with_btb(predictor: PredictorKind, btb_entries: usize) -> ArmSpec {
-        ArmSpec { predictor, btb_entries, asbr: None }
-    }
-
     /// An ASBR arm with default knobs and the quarter-size BTB.
     #[must_use]
     pub fn asbr(aux: PredictorKind) -> ArmSpec {
         ArmSpec { predictor: aux, btb_entries: AUX_BTB, asbr: Some(AsbrSpec::default()) }
-    }
-
-    /// An ASBR arm with explicit knobs and BTB capacity.
-    #[must_use]
-    pub fn asbr_with(aux: PredictorKind, knobs: AsbrSpec, btb_entries: usize) -> ArmSpec {
-        ArmSpec { predictor: aux, btb_entries, asbr: Some(knobs) }
     }
 
     /// Applies the arm to a spec.

@@ -1,7 +1,7 @@
 //! Integration tests for the `asbr_tool` command-line front end.
 
 use std::io::Write as _;
-use std::process::Command;
+use std::process::{Command, Output};
 
 use asbr_harness::json::{self, Value};
 use asbr_workloads::Workload;
@@ -49,6 +49,14 @@ mod tempfile {
             NamedTempPath(path)
         }
 
+        /// A fresh empty directory at a path of its own.
+        pub fn dir() -> NamedTempPath {
+            let dir = NamedTempPath::with_contents("");
+            std::fs::remove_file(&dir.0).expect("temp file removes");
+            std::fs::create_dir(&dir.0).expect("temp dir creates");
+            dir
+        }
+
         pub fn path(&self) -> &std::path::Path {
             &self.0
         }
@@ -57,6 +65,7 @@ mod tempfile {
     impl Drop for NamedTempPath {
         fn drop(&mut self) {
             let _ = std::fs::remove_file(&self.0);
+            let _ = std::fs::remove_dir_all(&self.0);
         }
     }
 }
@@ -234,22 +243,77 @@ fn a_failed_check_exits_1_and_bad_usage_exits_2() {
     }
 }
 
+/// Runs `asbr_tool tables ARGS` in `dir`, asserting that it succeeds.
+fn tables_in(dir: &tempfile::NamedTempPath, args: &[&str]) -> Output {
+    let out = tool().arg("tables").args(args).current_dir(dir.path()).output().unwrap();
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    out
+}
+
+/// The `[tables: …]` batch line a `tables` run prints on stderr.
+fn batch_line(out: &Output) -> String {
+    let err = String::from_utf8_lossy(&out.stderr);
+    let line = err.lines().find(|l| l.starts_with("[tables: "));
+    line.unwrap_or_else(|| panic!("no batch line in {err}")).to_owned()
+}
+
 #[test]
 fn tables_prints_the_figure_and_writes_its_json() {
-    let dir = std::env::temp_dir().join(format!("asbr-cli-tables-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = tool()
-        .args(["tables", "fig6", "--samples", "40", "--no-cache"])
-        .current_dir(&dir)
-        .output()
-        .unwrap();
-    let written = std::fs::read_to_string(dir.join("results/fig6.json"));
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let dir = tempfile::NamedTempPath::dir();
+    let written = |name: &str| {
+        let text = std::fs::read_to_string(dir.path().join("results").join(name)).unwrap();
+        json::parse(&text).unwrap()
+    };
+    let out = tables_in(&dir, &["fig6", "fig11", "--samples", "40", "--no-cache"]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("=== Figure 6"), "{text}");
-    let rows = json::parse(&written.unwrap()).unwrap();
+    let rows = written("fig6.json");
     assert!(rows.as_arr().is_some_and(|r| !r.is_empty()), "{rows:?}");
+    let fig11 = written("fig11.json");
+    let rows = fig11.as_arr().unwrap();
+    assert!(!rows.is_empty(), "fig11.json has no rows");
+    for r in rows {
+        for key in ["workload", "aux", "cycles", "baseline_cycles", "improvement", "folds"] {
+            assert!(r.get(key).is_some(), "fig11 row {r:?} lacks {key}");
+        }
+    }
+
+    // A warm sweep rerun is served from the cache, and every run's
+    // attribution buckets sum to its cycles.
+    tables_in(&dir, &["sweep", "--samples", "40"]);
+    tables_in(&dir, &["sweep", "--samples", "40"]);
+    let bench = written("BENCH_sweep.json");
+    let runs = bench.get("runs").and_then(Value::as_arr).unwrap();
+    let hits = runs.iter().filter(|r| r.get("cached").and_then(Value::as_bool) == Some(true));
+    assert!(hits.count() > 0, "warm sweep re-run hit the cache zero times");
+    for r in runs {
+        let Some(Value::Obj(buckets)) = r.get("attribution") else { panic!("{r:?}") };
+        let total: u64 = buckets.iter().map(|(_, n)| n.as_u64().unwrap()).sum();
+        let cycles = r.get("cycles").and_then(Value::as_u64).unwrap();
+        assert_eq!(total, cycles, "{r:?}: attribution sums to {total}, not {cycles} cycles");
+    }
+}
+
+#[test]
+fn a_warm_tables_rerun_computes_nothing() {
+    let dir = tempfile::NamedTempPath::dir();
+    let args = ["ablation-bit", "ablation-cache", "fig6x", "power", "--samples", "40"];
+    let cold = tables_in(&dir, &args);
+    assert!(!batch_line(&cold).contains(" 0 computed"), "{}", batch_line(&cold));
+    let warm = tables_in(&dir, &args);
+    assert!(batch_line(&warm).contains(", 0 computed,"), "{}", batch_line(&warm));
+    assert_eq!(warm.stdout, cold.stdout, "the cache changed a table");
+}
+
+#[test]
+fn tables_run_as_one_batch_that_dedups_across_tables() {
+    let dir = tempfile::NamedTempPath::dir();
+    let out = tables_in(&dir, &["fig11", "attribution", "power", "--samples", "40", "--no-cache"]);
+    // Attribution's and power's 16 specs are all among fig11's 24, whose
+    // 20 distinct include its duplicate bimodal-2048 baselines.
+    let line = batch_line(&out);
+    assert!(line.starts_with("[tables: 40 specs, 20 distinct,"), "{line}");
+    assert!(!dir.path().join("results/cache").exists(), "--no-cache wrote a cache");
 }
 
 #[test]

@@ -1,13 +1,15 @@
 //! Table-harness integration: every figure regenerates at smoke scale
 //! with the qualitative shape the paper reports.
 
+use asbr_bpred::PredictorKind;
 use asbr_experiments::{branch_tables, fig11, fig6};
-use asbr_harness::SAMPLES_SMOKE;
+use asbr_harness::{Executor, SAMPLES_SMOKE};
 use asbr_workloads::Workload;
 
 #[test]
 fn fig6_regenerates_with_paper_orderings() {
-    let rows = fig6::table(SAMPLES_SMOKE).unwrap();
+    let specs = fig6::space(SAMPLES_SMOKE, &PredictorKind::BASELINES).specs();
+    let rows = fig6::rows(&specs, &Executor::new().run(&specs).unwrap());
     assert_eq!(rows.len(), 12);
     for w in Workload::ALL {
         let acc = |p: &str| {
@@ -26,9 +28,7 @@ fn fig6_regenerates_with_paper_orderings() {
     // G.721 is more predictable than ADPCM for the dynamic predictors
     // (91% vs ~70% in the paper).
     let bi = |w: Workload| {
-        fig6::table(SAMPLES_SMOKE)
-            .unwrap()
-            .into_iter()
+        rows.iter()
             .find(|r| r.workload == w.name() && r.predictor == "bimodal")
             .unwrap()
             .accuracy
@@ -56,7 +56,8 @@ fn branch_tables_select_hot_hard_branches() {
 
 #[test]
 fn fig11_regenerates_and_renders() {
-    let rows = fig11::table(SAMPLES_SMOKE, fig11::Config::default()).unwrap();
+    let specs = fig11::space(SAMPLES_SMOKE).specs();
+    let rows = fig11::rows(&specs, &Executor::new().run(&specs).unwrap());
     assert_eq!(rows.len(), 12);
     let rendered = fig11::render(&rows);
     for w in Workload::ALL {

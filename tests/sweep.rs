@@ -54,7 +54,7 @@ fn tables_sweep_specs(samples: usize) -> Vec<RunSpec> {
 #[test]
 fn tables_sweep_order_is_pinned() {
     let mut specs = fig6::space(400, &PredictorKind::BASELINES).specs();
-    specs.extend(fig11::space(400, fig11::Config::default()).specs());
+    specs.extend(fig11::space(400).specs());
     assert_eq!(specs.len(), 12 + 24);
     assert_eq!(specs, tables_sweep_specs(400));
 }
