@@ -34,15 +34,12 @@
 //!   --samples <n>          input samples (default 400)
 //!   --out <path>           write the report here (default results/WCET_report.json)
 //! asbr_tool explore [options]                 multi-objective design-space
-//!                                             exploration; write results/PARETO_*.json
+//!                                             exploration of every point of a space;
+//!                                             write results/PARETO_*.json
 //!   --space <name>         small (12 points, cycles+area) or default
 //!                          (432 points, cycles+area+energy) (default: default)
 //!   --workload <name>      benchmark the space explores (default adpcm-encode)
 //!   --samples <n>          input samples per point (default 400)
-//!   --seed <n>             RNG seed of the guided search (default 1)
-//!   --budget <n>           guided initial random samples (default 48)
-//!   --rounds <n>           guided neighborhood-refinement passes (default 3)
-//!   --exhaustive           evaluate every point instead of guided search
 //!   --threads <n>          executor workers (default: one per core)
 //!   --cache <dir>          on-disk result cache (default results/cache)
 //!   --no-cache             disable the on-disk cache
@@ -80,7 +77,8 @@
 //! and the `--cache`/`--no-cache`/`--refresh` trio) parse through one
 //! [`CommonOpts`] helper; each subcommand only declares which of them it
 //! accepts plus its own extras, so a new subcommand never re-implements
-//! the shared handling.
+//! the shared handling. `tables`, `explore` and `wcet` run their specs on
+//! an [`Executor`] built from those flags by one helper, [`executor`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -196,8 +194,12 @@ impl CommonOpts {
     }
 
     /// Resolves the `--cache`/`--no-cache`/`--refresh` trio against a
-    /// subcommand default directory.
+    /// subcommand default directory. A subcommand that accepts none of
+    /// them runs uncached.
     fn cache_mode(&self, default_dir: PathBuf) -> Result<CacheMode, String> {
+        if !self.accepts.contains(&"--no-cache") {
+            return Ok(CacheMode::Disabled);
+        }
         if self.no_cache {
             if self.refresh {
                 return Err("--refresh needs a cache directory (drop --no-cache)".into());
@@ -595,7 +597,7 @@ struct WcetReport {
 
 asbr_harness::impl_to_json!(WcetReport { schema, samples, range_only_provable_branches, runs });
 
-fn cmd_wcet(opts: &WcetOpts) -> Result<(), Failure> {
+fn cmd_wcet(opts: &WcetOpts, executor: &Executor) -> Result<(), Failure> {
     use asbr_harness::attach_bound;
 
     let mut runs = Vec::new();
@@ -608,7 +610,7 @@ fn cmd_wcet(opts: &WcetOpts) -> Result<(), Failure> {
     // baseline, ASBR + bi-512): the specs run in parallel, and the two
     // specs of a codec share one profiling pass, which the bounds then read.
     let specs = attribution::specs(opts.samples);
-    let outcomes = Executor::new().run(&specs).map_err(|e| e.to_string())?;
+    let outcomes = executor.run(&specs).map_err(|e| e.to_string())?;
     for (spec, mut out) in specs.into_iter().zip(outcomes) {
         let rec = attach_bound(&spec, &mut out).map_err(|e| e.to_string())?;
         println!(
@@ -670,12 +672,6 @@ struct ExploreOpts {
     space: String,
     workload: Workload,
     samples: usize,
-    seed: u64,
-    budget: usize,
-    rounds: usize,
-    exhaustive: bool,
-    threads: usize,
-    cache: CacheMode,
     out: String,
 }
 
@@ -686,11 +682,9 @@ struct ExploreOpts {
 /// end (bimodal-2048 + BTB-2048):
 ///
 /// * `small` — predictor {not-taken, bi-256, bi-512} × BTB {256, 512} ×
-///   BIT {8, 16}: 12 points, cycles + area. Small enough that CI's smoke
-///   job can cross-check guided search against exhaustive enumeration.
+///   BIT {8, 16}: 12 points, cycles + area.
 /// * `default` — predictor family/size (9) × BTB (4) × BIT (3) × publish
 ///   point (2) × cache bytes (2): 432 points, cycles + area + energy.
-///   Guided search visits strictly fewer points than exhaustive fan-out.
 fn explore_space(
     name: &str,
     workload: Workload,
@@ -750,30 +744,21 @@ fn explore_space(
     }
 }
 
-fn cmd_explore(opts: &ExploreOpts) -> Result<(), String> {
+fn cmd_explore(opts: &ExploreOpts, executor: &Executor) -> Result<(), String> {
     let model = CostModel::load(Path::new("results")).map_err(|e| e.to_string())?;
     let (space, objectives, constraints) =
         explore_space(&opts.space, opts.workload, opts.samples, model)?;
-    let strategy = if opts.exhaustive {
-        SearchStrategy::Exhaustive
-    } else {
-        SearchStrategy::Guided { budget: opts.budget, rounds: opts.rounds, seed: opts.seed }
-    };
     println!(
-        "exploring the `{}` space of {} ({} points, {} objective(s)) with {}",
+        "exploring the `{}` space of {} ({} points, {} objective(s)) \
+         with exhaustive enumeration",
         opts.space,
         opts.workload.name(),
         space.len(),
         objectives.len(),
-        match strategy {
-            SearchStrategy::Exhaustive => "exhaustive enumeration".to_owned(),
-            SearchStrategy::Guided { budget, rounds, seed } =>
-                format!("guided search (budget {budget}, rounds {rounds}, seed {seed})"),
-        }
     );
-    let exploration = Exploration { space, objectives, constraints, strategy };
-    let executor = Executor::new().threads(opts.threads).cache(opts.cache.clone());
-    let report = exploration.run(&executor).map_err(|e| e.to_string())?;
+    let exploration =
+        Exploration { space, objectives, constraints, strategy: SearchStrategy::Exhaustive };
+    let report = exploration.run(executor).map_err(|e| e.to_string())?;
     print!("{}", report.render());
     json::write(&opts.out, &report).map_err(|e| e.to_string())?;
     println!("wrote {}", opts.out);
@@ -1254,11 +1239,18 @@ fn usage() -> String {
      \x20                      [--check golden.json]\n\
      \x20      asbr_tool wcet [--samples n] [--out path]\n\
      \x20      asbr_tool explore [--space small|default] [--workload name] [--samples n]\n\
-     \x20                        [--seed n] [--budget n] [--rounds n] [--exhaustive]\n\
      \x20                        [--threads n] [--cache dir|--no-cache] [--refresh]\n\
      \x20                        [--out path]\n\
      see the module docs (src/bin/asbr_tool.rs) for options"
         .to_owned()
+}
+
+/// The executor every spec-running subcommand runs on, built from the
+/// shared `--threads` and cache flags.
+fn executor(common: &CommonOpts) -> Result<Executor, String> {
+    Ok(Executor::new()
+        .threads(common.threads)
+        .cache(common.cache_mode(ResultCache::default_root())?))
 }
 
 fn real_main() -> Result<(), Failure> {
@@ -1275,11 +1267,8 @@ fn real_main() -> Result<(), Failure> {
             names.push(arg.to_owned());
             Ok(true)
         })?;
-        let executor = Executor::new()
-            .threads(common.threads)
-            .cache(common.cache_mode(ResultCache::default_root())?);
         let samples = common.samples.unwrap_or(SAMPLES_FULL);
-        return Ok(cmd_tables(&names, &executor, samples, common.threads)?);
+        return Ok(cmd_tables(&names, &executor(&common)?, samples, common.threads)?);
     }
     if cmd == "lint" {
         let mut opts = LintOpts {
@@ -1327,11 +1316,12 @@ fn real_main() -> Result<(), Failure> {
     if cmd == "wcet" {
         let mut common = CommonOpts::accepting(&["--samples", "--out"]);
         parse_flags(&args, 1, &mut common, |_, _| Ok(false))?;
+        let executor = executor(&common)?;
         let opts = WcetOpts {
             samples: common.samples.unwrap_or(SAMPLES_SMOKE),
             out: common.out.unwrap_or_else(|| "results/WCET_report.json".to_owned()),
         };
-        return cmd_wcet(&opts);
+        return cmd_wcet(&opts, &executor);
     }
     if cmd == "explore" {
         let mut common = CommonOpts::accepting(&[
@@ -1344,18 +1334,10 @@ fn real_main() -> Result<(), Failure> {
         ]);
         let mut space = "default".to_owned();
         let mut workload = Workload::AdpcmEncode;
-        let mut seed = 1u64;
-        let mut budget = 48usize;
-        let mut rounds = 3usize;
-        let mut exhaustive = false;
         parse_flags(&args, 1, &mut common, |flag, cur| {
             match flag {
                 "--space" => space = cur.value("--space")?.clone(),
                 "--workload" => workload = resolve_workload(cur.value("--workload")?)?,
-                "--seed" => seed = cur.parse("--seed")?,
-                "--budget" => budget = cur.parse("--budget")?,
-                "--rounds" => rounds = cur.parse("--rounds")?,
-                "--exhaustive" => exhaustive = true,
                 _ => return Ok(false),
             }
             Ok(true)
@@ -1367,15 +1349,9 @@ fn real_main() -> Result<(), Failure> {
             space,
             workload,
             samples: common.samples.unwrap_or(SAMPLES_SMOKE),
-            seed,
-            budget,
-            rounds,
-            exhaustive,
-            threads: common.threads,
-            cache: common.cache_mode(ResultCache::default_root())?,
             out,
         };
-        return Ok(cmd_explore(&opts)?);
+        return Ok(cmd_explore(&opts, &executor(&common)?)?);
     }
     let file = args.get(1).ok_or_else(usage)?;
     let done = match cmd.as_str() {

@@ -160,7 +160,8 @@ impl Executor {
     /// Runs every spec and returns outcomes in input order.
     ///
     /// Identical specs are simulated once; later occurrences get clones
-    /// marked `cached`. Every outcome carries the shared prefix of its
+    /// marked `cached`, with a `wall_nanos` of 0. An empty batch starts
+    /// no pool. Every outcome carries the shared prefix of its
     /// spec ([`RunOutcome::prefix`]), however it was produced. On
     /// multiple failures the error of the earliest-indexed failing spec
     /// is returned, so the error too is deterministic.
@@ -170,6 +171,9 @@ impl Executor {
     /// Returns the first [`HarnessError`] (by input index) any spec
     /// produced.
     pub fn run(&self, specs: &[RunSpec]) -> Result<Vec<RunOutcome>, HarnessError> {
+        if specs.is_empty() {
+            return Ok(Vec::new());
+        }
         let mut first_at: HashMap<RunSpec, usize> = HashMap::new();
         let mut alias_of: Vec<usize> = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
@@ -193,9 +197,11 @@ impl Executor {
         for i in 0..specs.len() {
             if alias_of[i] != i {
                 // Duplicate spec: clone the primary outcome already moved
-                // into `out`, marked as served without simulating.
+                // into `out`, marked as served without simulating, in no
+                // wall time of its own.
                 let mut dup: RunOutcome = out[alias_of[i]].clone();
                 dup.cached = true;
+                dup.wall_nanos = 0;
                 out.push(dup);
                 continue;
             }
@@ -227,6 +233,8 @@ mod tests {
         assert!(!out[0].cached);
         assert!(out[2].cached, "third spec duplicates the first");
         assert!(out[2].same_result(&out[0]));
+        assert_eq!(out[2].wall_nanos, 0, "a duplicate takes no wall time");
+        assert!(out[0].wall_nanos > 0, "the primary's wall is its simulation's");
         assert!(out[1].asbr.is_some());
     }
 
@@ -252,8 +260,11 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let out = Executor::new().run(&[]).unwrap();
+        let ex = Executor::new();
+        let out = ex.run(&[]).unwrap();
         assert!(out.is_empty());
+        assert!(ex.pool.get().is_none(), "an empty batch started the pool");
+        assert_eq!(ex.stats(), ExecutorStats::default());
     }
 
     #[test]

@@ -14,20 +14,16 @@
 //! * [`Objective`] / [`Constraint`] — typed functions over the finished
 //!   [`RunOutcome`] and the promoted [`CostModel`](crate::cost::CostModel)
 //!   (see [`Metric`] for the built-ins).
-//! * [`Exploration::run`] — evaluates points on the existing
-//!   [`Executor`] (so exploration saturates host cores and the
-//!   content-addressed cache makes revisited points free), extracts the
+//! * [`Exploration::run`] — evaluates every point of the space as one
+//!   batch on the existing [`Executor`] (so exploration saturates host
+//!   cores, the content-addressed cache makes revisited points free, and
+//!   points that build the same machine simulate once), extracts the
 //!   Pareto front with dominance checks, and emits an [`ExploreReport`]
 //!   (`results/PARETO_*.json`, schema [`PARETO_SCHEMA`]).
 //!
-//! The default [`SearchStrategy::Guided`] is smarter than exhaustive
-//! fan-out: seeded random sampling over the point space followed by local
-//! neighborhood refinement around the running front. The RNG is a fixed
-//! xorshift so a given seed explores the same points on every host and at
-//! every thread count — outcomes are deterministic, and the batch
-//! executor returns them in input order.
+//! The executor returns outcomes in input order at any thread count, so
+//! a report is deterministic.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -376,24 +372,6 @@ impl DesignSpace {
         id
     }
 
-    /// The enumeration ordinal of a point id (inverse of
-    /// [`DesignSpace::id_of`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id has the wrong arity or an index out of range.
-    #[must_use]
-    pub fn ordinal_of(&self, id: &[usize]) -> u64 {
-        let dims = self.dims();
-        assert_eq!(id.len(), dims.len(), "point id arity mismatch");
-        let mut n = 0u64;
-        for (&i, &len) in id.iter().zip(&dims) {
-            assert!(i < len, "axis index {i} out of range (len {len})");
-            n = n * len as u64 + i as u64;
-        }
-        n
-    }
-
     /// The spec a point id denotes.
     ///
     /// # Panics
@@ -427,25 +405,6 @@ impl DesignSpace {
     #[must_use]
     pub fn specs(&self) -> Vec<RunSpec> {
         (0..self.len()).map(|n| self.spec_at(&self.id_of(n))).collect()
-    }
-
-    /// The ids adjacent to `id`: one step up or down along each axis
-    /// (clamped at the ends, never wrapping).
-    #[must_use]
-    pub fn neighbors(&self, id: &[usize]) -> Vec<Vec<usize>> {
-        let mut out = Vec::new();
-        for (ai, axis) in self.axes.iter().enumerate() {
-            let i = id[ai];
-            for next in [i.checked_sub(1), (i + 1 < axis.len()).then_some(i + 1)]
-                .into_iter()
-                .flatten()
-            {
-                let mut n = id.to_vec();
-                n[ai] = next;
-                out.push(n);
-            }
-        }
-        out
     }
 }
 
@@ -637,64 +596,19 @@ pub fn pareto_indices(points: &[Vec<f64>]) -> Vec<usize> {
         .collect()
 }
 
-/// How [`Exploration::run`] walks the space.
+/// How [`Exploration::run`] walks the space: it always evaluates every
+/// point, so this selects nothing. It stays only while the benchmark
+/// package names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchStrategy {
-    /// Evaluate every point. Exact, and exactly as expensive as the
-    /// space is large.
+    /// Evaluate every point.
     Exhaustive,
-    /// Seeded random sampling followed by local neighborhood refinement:
-    /// `budget` distinct random points, then up to `rounds` passes that
-    /// evaluate every unvisited neighbor (±1 along each axis) of the
-    /// running front, stopping early once a pass finds no new points.
-    Guided {
-        /// Initial random sample size (clamped to the space size).
-        budget: usize,
-        /// Maximum refinement passes.
-        rounds: usize,
-        /// RNG seed; the same seed explores the same points everywhere.
-        seed: u64,
-    },
 }
 
 impl SearchStrategy {
-    fn label(&self) -> String {
+    fn label(self) -> &'static str {
         match self {
-            SearchStrategy::Exhaustive => "exhaustive".to_owned(),
-            SearchStrategy::Guided { budget, rounds, seed } => {
-                format!("guided(budget={budget}, rounds={rounds}, seed={seed})")
-            }
-        }
-    }
-}
-
-/// A fixed, dependency-free xorshift64* generator — deterministic across
-/// hosts, which is all the search needs.
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> XorShift {
-        // Zero is the lone fixed point of xorshift; displace it.
-        XorShift(seed.wrapping_add(0x9E37_79B9_7F4A_7C15).max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in `0..bound` by rejection (bound > 0).
-    fn below(&mut self, bound: u64) -> u64 {
-        let zone = u64::MAX - u64::MAX % bound;
-        loop {
-            let x = self.next();
-            if x < zone {
-                return x % bound;
-            }
+            SearchStrategy::Exhaustive => "exhaustive",
         }
     }
 }
@@ -726,11 +640,11 @@ pub struct ExploreReport {
     pub objectives: Vec<String>,
     /// Constraint descriptions.
     pub constraints: Vec<String>,
-    /// Search strategy label.
+    /// Search strategy label (always `exhaustive`).
     pub strategy: String,
     /// Total points in the space.
     pub space_size: u64,
-    /// Every evaluated point, in evaluation order (deterministic).
+    /// Every point of the space, in ordinal order.
     pub evaluated: Vec<ExplorePoint>,
     /// Indices into `evaluated` forming the Pareto front, sorted by the
     /// first objective (ties by ordinal).
@@ -848,7 +762,7 @@ impl ToJson for ExploreReport {
     }
 }
 
-/// A complete exploration: space, objectives, constraints, strategy.
+/// A complete exploration: space, objectives, constraints.
 #[derive(Debug, Clone)]
 pub struct Exploration {
     /// The space to walk.
@@ -857,16 +771,16 @@ pub struct Exploration {
     pub objectives: Vec<Objective>,
     /// Feasibility bounds (may be empty).
     pub constraints: Vec<Constraint>,
-    /// How to walk the space.
+    /// Always [`SearchStrategy::Exhaustive`].
     pub strategy: SearchStrategy,
 }
 
 impl Exploration {
     /// Runs the exploration on `executor` and extracts the Pareto front.
     ///
-    /// Deterministic by construction: the evaluation order is fixed by
-    /// the strategy (and seed), the executor returns outcomes in input
-    /// order at any thread count, and dominance ties break by ordinal.
+    /// Deterministic by construction: every point is evaluated in ordinal
+    /// order as one batch, the executor returns outcomes in input order
+    /// at any thread count, and dominance ties break by ordinal.
     ///
     /// # Errors
     ///
@@ -881,48 +795,23 @@ impl Exploration {
             return Err(HarnessError::Spec("the design space has no points".into()));
         }
 
-        let mut visited: BTreeSet<u64> = BTreeSet::new();
-        let mut evaluated: Vec<ExplorePoint> = Vec::new();
-
-        match self.strategy {
-            SearchStrategy::Exhaustive => {
-                let all: Vec<u64> = (0..self.space.len()).collect();
-                self.evaluate(executor, &all, &mut visited, &mut evaluated)?;
-            }
-            SearchStrategy::Guided { budget, rounds, seed } => {
-                let size = self.space.len();
-                let budget = (budget.max(1) as u64).min(size);
-                // Seeded sample of distinct ordinals. Drawing into a set
-                // keeps the walk deterministic; the draw loop terminates
-                // because budget <= size.
-                let mut rng = XorShift::new(seed);
-                let mut batch: BTreeSet<u64> = BTreeSet::new();
-                while (batch.len() as u64) < budget {
-                    batch.insert(rng.below(size));
-                }
-                let batch: Vec<u64> = batch.into_iter().collect();
-                self.evaluate(executor, &batch, &mut visited, &mut evaluated)?;
-
-                for _ in 0..rounds {
-                    // Neighborhood of the running front, unvisited only.
-                    let front = self.front_of(&evaluated);
-                    let mut next: BTreeSet<u64> = BTreeSet::new();
-                    for &i in &front {
-                        for n in self.space.neighbors(&evaluated[i].id) {
-                            let ord = self.space.ordinal_of(&n);
-                            if !visited.contains(&ord) {
-                                next.insert(ord);
-                            }
-                        }
-                    }
-                    if next.is_empty() {
-                        break;
-                    }
-                    let batch: Vec<u64> = next.into_iter().collect();
-                    self.evaluate(executor, &batch, &mut visited, &mut evaluated)?;
-                }
-            }
-        }
+        let ids: Vec<Vec<usize>> = (0..self.space.len()).map(|n| self.space.id_of(n)).collect();
+        let specs: Vec<RunSpec> = ids.iter().map(|id| self.space.spec_at(id)).collect();
+        let outcomes = executor.run(&specs)?;
+        let evaluated: Vec<ExplorePoint> = (0..)
+            .zip(ids)
+            .zip(specs)
+            .zip(outcomes)
+            .map(|(((ordinal, id), spec), out)| ExplorePoint {
+                ordinal,
+                label: self.space.label_of(&id),
+                objectives: self.objectives.iter().map(|o| o.value(&spec, &out)).collect(),
+                feasible: self.constraints.iter().all(|c| c.satisfied(&spec, &out)),
+                id,
+                spec,
+                cached: out.cached,
+            })
+            .collect();
 
         let front = self.front_of(&evaluated);
         let infeasible = evaluated.iter().filter(|p| !p.feasible).count();
@@ -931,7 +820,7 @@ impl Exploration {
         Ok(ExploreReport {
             objectives: self.objectives.iter().map(|o| o.name().to_owned()).collect(),
             constraints: self.constraints.iter().map(Constraint::describe).collect(),
-            strategy: self.strategy.label(),
+            strategy: self.strategy.label().to_owned(),
             space_size: self.space.len(),
             evaluated,
             front,
@@ -941,38 +830,6 @@ impl Exploration {
             host: HostInfo::gather(0, 1),
             wall_secs: started.elapsed().as_secs_f64(),
         })
-    }
-
-    /// Evaluates a batch of ordinals through the executor, appending the
-    /// typed points in batch order.
-    fn evaluate(
-        &self,
-        executor: &Executor,
-        ordinals: &[u64],
-        visited: &mut BTreeSet<u64>,
-        evaluated: &mut Vec<ExplorePoint>,
-    ) -> Result<(), HarnessError> {
-        let ids: Vec<Vec<usize>> = ordinals.iter().map(|&n| self.space.id_of(n)).collect();
-        let specs: Vec<RunSpec> = ids.iter().map(|id| self.space.spec_at(id)).collect();
-        let outcomes = executor.run(&specs)?;
-        for (((&ordinal, id), spec), out) in
-            ordinals.iter().zip(ids).zip(specs).zip(outcomes)
-        {
-            visited.insert(ordinal);
-            let objectives: Vec<f64> =
-                self.objectives.iter().map(|o| o.value(&spec, &out)).collect();
-            let feasible = self.constraints.iter().all(|c| c.satisfied(&spec, &out));
-            evaluated.push(ExplorePoint {
-                ordinal,
-                label: self.space.label_of(&id),
-                id,
-                spec,
-                objectives,
-                feasible,
-                cached: out.cached,
-            });
-        }
-        Ok(())
     }
 
     /// Indices (into `evaluated`) of the feasible non-dominated points,
@@ -1031,9 +888,6 @@ mod tests {
         .axis(Axis::btb_entries([64, 512, 2048]))
         .axis(Axis::cache_bytes([4096, 8192]));
         assert_eq!(space.len(), 6);
-        for n in 0..space.len() {
-            assert_eq!(space.ordinal_of(&space.id_of(n)), n);
-        }
         // Last axis varies fastest.
         assert_eq!(space.id_of(0), vec![0, 0]);
         assert_eq!(space.id_of(1), vec![0, 1]);
@@ -1048,21 +902,6 @@ mod tests {
         let spec = space.spec_at(&[1]);
         let knobs = spec.asbr.expect("BIT axis turns the spec into an ASBR run");
         assert_eq!(knobs.bit_entries, 32);
-    }
-
-    #[test]
-    fn neighbors_clamp_at_the_edges() {
-        let space = DesignSpace::new(RunSpec::baseline(
-            Workload::AdpcmEncode,
-            PredictorKind::NotTaken,
-            10,
-        ))
-        .axis(Axis::btb_entries([64, 512, 2048]))
-        .axis(Axis::cache_bytes([4096, 8192]));
-        let n = space.neighbors(&[0, 0]);
-        assert_eq!(n, vec![vec![1, 0], vec![0, 1]]);
-        let n = space.neighbors(&[1, 1]);
-        assert_eq!(n, vec![vec![0, 1], vec![2, 1], vec![1, 0]]);
     }
 
     #[test]
@@ -1083,17 +922,5 @@ mod tests {
             vec![4.0, 1.0], // front
         ];
         assert_eq!(pareto_indices(&pts), vec![0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn xorshift_is_stable() {
-        // The search contract says a seed explores the same points on
-        // every host; pin the first draws.
-        let mut rng = XorShift::new(42);
-        let draws: Vec<u64> = (0..4).map(|_| rng.below(1000)).collect();
-        let mut rng2 = XorShift::new(42);
-        let again: Vec<u64> = (0..4).map(|_| rng2.below(1000)).collect();
-        assert_eq!(draws, again);
-        assert!(draws.iter().all(|&d| d < 1000));
     }
 }

@@ -17,8 +17,9 @@
 //! `BENCH_throughput.json` (see `docs/performance.md`). On top of the
 //! sweep layer, [`explore`] adds multi-objective design-space
 //! exploration — [`Objective`]/[`Constraint`] over a typed
-//! [`CostModel`], Pareto-front extraction, and a seeded guided search —
-//! behind `asbr_tool explore` (see `docs/explore.md`).
+//! [`CostModel`] and Pareto-front extraction over every point of a
+//! space, evaluated as one batch — behind `asbr_tool explore` (see
+//! `docs/explore.md`).
 //!
 //! The crate is deliberately dependency-free beyond the workspace: the
 //! cache key hash ([`hash::Sha256`]), the cache entry format, and the

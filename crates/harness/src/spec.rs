@@ -491,8 +491,10 @@ pub struct RunOutcome {
     /// (see [`crate::wcet`]), attached after the run by the cross-check
     /// and persisted through the result cache. `None` until computed.
     pub static_bound: Option<u64>,
-    /// Wall-clock nanoseconds spent producing this outcome — the
-    /// simulation itself, or the cache load on a hit.
+    /// Wall-clock nanoseconds of the simulation that produced this
+    /// outcome; an outcome served by an equivalent machine carries that
+    /// machine's. 0 for an outcome loaded from the on-disk cache and for
+    /// an in-batch duplicate, which take no simulation of their own.
     pub wall_nanos: u64,
     /// Whether the outcome was served from the result cache (or deduped
     /// against an identical spec in the same sweep).

@@ -192,19 +192,19 @@ fn lint_cli_passes_on_workloads() {
 
 #[test]
 fn wcet_writes_a_report_whose_bounds_hold() {
-    let dir = std::env::temp_dir().join(format!("asbr-cli-wcet-{}", std::process::id()));
-    let path = dir.join("wcet.json");
+    let dir = tempfile::NamedTempPath::dir();
+    let path = dir.path().join("wcet.json");
     let out = tool().args(["wcet", "--samples", "40", "--out"]).arg(&path).output().unwrap();
-    let written = std::fs::read_to_string(&path);
-    let _ = std::fs::remove_dir_all(&dir);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let doc = json::parse(&written.unwrap()).unwrap();
+    let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
     let runs = doc.get("runs").and_then(Value::as_arr).unwrap();
     assert_eq!(runs.len(), 2 * Workload::ALL.len());
     let mut range_only = 0;
     for r in runs {
         let field = |key: &str| r.get(key).and_then(Value::as_u64).unwrap();
         assert!(field("bound") >= field("cycles"), "{r:?}");
+        let tightness = r.get("tightness").and_then(Value::as_f64).unwrap();
+        assert!(tightness <= 10.0, "bound uselessly loose ({tightness:.2}x): {r:?}");
         for b in r.get("branches").and_then(Value::as_arr).unwrap() {
             let verdict = |key: &str| b.get(key).and_then(Value::as_bool).unwrap();
             if verdict("range_provable") && !verdict("distance_provable") {
@@ -236,6 +236,7 @@ fn a_failed_check_exits_1_and_bad_usage_exits_2() {
         &["lint", "--bogus"][..],
         &["tables", "nosuch"],
         &["tables", "fig6", "--samples", "4x0"],
+        &["explore", "--budget", "6"],
     ] {
         let out = tool().args(args).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
@@ -343,4 +344,98 @@ fn explore_reports_host_provenance_without_a_path() {
             assert!(rev.len() >= 7 && head.starts_with(&rev), "host.git_rev {rev:?} vs {head}");
         }
     }
+}
+
+/// Runs `asbr_tool explore ARGS` in `dir` and parses the PARETO document
+/// it writes to `out`.
+fn explore_in(dir: &tempfile::NamedTempPath, out: &str, args: &[&str]) -> Value {
+    let run = tool()
+        .args(["explore", "--samples", "400", "--out", out])
+        .args(args)
+        .current_dir(dir.path())
+        .output()
+        .unwrap();
+    assert!(run.status.success(), "{args:?}: {}", String::from_utf8_lossy(&run.stderr));
+    json::parse(&std::fs::read_to_string(dir.path().join(out)).unwrap()).unwrap()
+}
+
+/// The labels of a PARETO document's front, in front order.
+fn front_labels(doc: &Value) -> Vec<&str> {
+    let front = doc.get("front").and_then(Value::as_arr).unwrap();
+    front.iter().map(|p| p.get("label").and_then(Value::as_str).unwrap()).collect()
+}
+
+#[test]
+fn explore_enumerates_the_default_space_and_a_warm_rerun_hits_every_point() {
+    let dir = tempfile::NamedTempPath::dir();
+    let cold = explore_in(&dir, "cold.json", &[]);
+    let warm = explore_in(&dir, "warm.json", &[]);
+    assert_eq!(cold.get("schema").and_then(Value::as_str), Some("asbr-pareto v1"));
+    let front = cold.get("front").and_then(Value::as_arr).unwrap();
+    assert!(!front.is_empty(), "exploration found an empty front");
+    let objectives = |p: &Value| -> Vec<f64> {
+        let values = p.get("objectives").and_then(Value::as_arr).unwrap();
+        values.iter().map(|v| v.as_f64().unwrap()).collect()
+    };
+    for a in front {
+        assert_eq!(a.get("feasible").and_then(Value::as_bool), Some(true), "{a:?}");
+        // The space minimizes every objective, so dominance is the plain
+        // all-<=/one-< test on the reported vectors.
+        for b in front {
+            let (x, y) = (objectives(a), objectives(b));
+            let dominates =
+                x.iter().zip(&y).all(|(x, y)| x <= y) && x.iter().zip(&y).any(|(x, y)| x < y);
+            assert!(!dominates, "front point {a:?} dominates {b:?}");
+        }
+    }
+    for doc in [&cold, &warm] {
+        let field = |key: &str| doc.get(key).and_then(Value::as_u64);
+        assert_eq!((field("evaluations"), field("space_size")), (Some(432), Some(432)));
+    }
+    // Cold, all but one run per machine is served from an equivalent one:
+    // 8 simulations for 432 points.
+    let rate = |doc: &Value| doc.get("cache_hit_rate").and_then(Value::as_f64).unwrap();
+    assert!(rate(&cold) >= 0.98, "cold hit rate {}", rate(&cold));
+    assert_eq!(rate(&warm), 1.0, "warm hit rate");
+    assert_eq!(front_labels(&warm), front_labels(&cold), "the cache changed the front");
+
+    // Every point has its own entry name, directly in the cache root, and
+    // the names are hard links to one file per simulated machine.
+    let mut names = 0;
+    let mut inodes = std::collections::BTreeSet::new();
+    for entry in std::fs::read_dir(dir.path().join("results/cache")).unwrap() {
+        let entry = entry.unwrap();
+        let meta = entry.metadata().unwrap();
+        assert!(!meta.is_dir(), "cache root holds directory {:?}", entry.path());
+        if entry.path().extension().is_some_and(|e| e == "run") {
+            names += 1;
+            inodes.insert(std::os::unix::fs::MetadataExt::ino(&meta));
+        }
+    }
+    assert_eq!(names, 432, "{names} cache names for 432 points");
+    assert!(inodes.len() <= 16, "{} entry files for 432 points", inodes.len());
+}
+
+#[test]
+fn trace_counters_attribute_every_cycle() {
+    let dir = tempfile::NamedTempPath::dir();
+    let path = dir.path().join("trace.json");
+    let out = tool()
+        .args(["trace", "adpcm-encode", "--samples", "400", "--asbr", "--out"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
+    let counters: Vec<&Value> =
+        events.iter().filter(|e| e.get("ph").and_then(Value::as_str) == Some("C")).collect();
+    assert!(!counters.is_empty(), "trace has no counter snapshots");
+    let mut total = 0;
+    for e in &counters {
+        let Some(Value::Obj(buckets)) = e.get("args") else { panic!("{e:?}") };
+        total += buckets.iter().map(|(_, n)| n.as_u64().unwrap()).sum::<u64>();
+    }
+    let cycles = doc.get("metadata").and_then(|m| m.get("total_cycles")).and_then(Value::as_u64);
+    assert_eq!(Some(total), cycles, "bucket counts {total} != total_cycles");
 }

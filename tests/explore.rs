@@ -1,6 +1,5 @@
 //! Integration tests for the design-space exploration API: dominance
-//! semantics, seeded-search determinism across thread counts, guided vs.
-//! exhaustive agreement on an enumerable space, and cold→warm cache
+//! semantics, determinism across thread counts, and cold→warm cache
 //! behavior of repeated explorations.
 
 use std::path::PathBuf;
@@ -39,7 +38,7 @@ impl Drop for ScratchCache {
 
 /// The 12-point ASBR space the CLI calls `small`, with cycles + area
 /// objectives and the baseline-front-end area budget as a constraint.
-fn small_exploration(strategy: SearchStrategy) -> Exploration {
+fn small_exploration() -> Exploration {
     let model = CostModel::default();
     let base = RunSpec::asbr(
         Workload::AdpcmEncode,
@@ -67,7 +66,7 @@ fn small_exploration(strategy: SearchStrategy) -> Exploration {
             Objective::minimize(Metric::area(model)),
         ],
         constraints: vec![Constraint::at_most(Metric::area(model), baseline_area)],
-        strategy,
+        strategy: SearchStrategy::Exhaustive,
     }
 }
 
@@ -98,8 +97,7 @@ fn dominance_and_front_semantics() {
 
     // Every front point of a real exploration is mutually non-dominated
     // and feasible.
-    let report =
-        small_exploration(SearchStrategy::Exhaustive).run(&Executor::new()).unwrap();
+    let report = small_exploration().run(&Executor::new()).unwrap();
     let front = report.front_points();
     assert!(!front.is_empty(), "the exhaustive front cannot be empty");
     for p in &front {
@@ -118,12 +116,10 @@ fn dominance_and_front_semantics() {
 }
 
 #[test]
-fn guided_search_is_thread_count_invariant() {
-    let strategy = SearchStrategy::Guided { budget: 6, rounds: 3, seed: 7 };
-    let want = small_exploration(strategy).run(&Executor::new().threads(1)).unwrap();
+fn exploration_is_thread_count_invariant() {
+    let want = small_exploration().run(&Executor::new().threads(1)).unwrap();
     for threads in [2usize, 8] {
-        let got =
-            small_exploration(strategy).run(&Executor::new().threads(threads)).unwrap();
+        let got = small_exploration().run(&Executor::new().threads(threads)).unwrap();
         assert_eq!(
             got.evaluated.iter().map(|p| p.ordinal).collect::<Vec<_>>(),
             want.evaluated.iter().map(|p| p.ordinal).collect::<Vec<_>>(),
@@ -139,47 +135,19 @@ fn guided_search_is_thread_count_invariant() {
 }
 
 #[test]
-fn guided_finds_the_exhaustive_front_on_the_small_space() {
-    let exhaustive =
-        small_exploration(SearchStrategy::Exhaustive).run(&Executor::new()).unwrap();
-    assert_eq!(exhaustive.evaluations() as u64, exhaustive.space_size);
-
-    let guided = small_exploration(SearchStrategy::Guided {
-        budget: 6,
-        rounds: 3,
-        seed: 1,
-    })
-    .run(&Executor::new())
-    .unwrap();
-    // Fewer evaluations, exact same front.
-    assert!(
-        guided.evaluations() < exhaustive.evaluations(),
-        "guided ({}) should evaluate fewer points than exhaustive ({})",
-        guided.evaluations(),
-        exhaustive.evaluations()
-    );
-    assert_eq!(
-        front_specs(&guided),
-        front_specs(&exhaustive),
-        "guided search missed part of the exact front"
-    );
-}
-
-#[test]
 fn re_exploration_hits_the_warm_cache() {
     let scratch = ScratchCache::new("warm");
-    let strategy = SearchStrategy::Guided { budget: 6, rounds: 2, seed: 3 };
 
-    let cold = small_exploration(strategy)
+    let cold = small_exploration()
         .run(&Executor::new().cache(scratch.mode()))
         .unwrap();
     // Points whose BIT size builds the same machine as an earlier point
     // are served without simulating and count as hits, with or without a
     // disk cache; a fresh cache directory must add no hits to those.
-    let uncached = small_exploration(strategy).run(&Executor::new()).unwrap();
+    let uncached = small_exploration().run(&Executor::new()).unwrap();
     assert_eq!(cold.cache_hits, uncached.cache_hits, "a fresh cache directory cannot hit");
 
-    let warm = small_exploration(strategy)
+    let warm = small_exploration()
         .run(&Executor::new().cache(scratch.mode()))
         .unwrap();
     assert!(
@@ -196,7 +164,7 @@ fn re_exploration_hits_the_warm_cache() {
 
 #[test]
 fn report_json_carries_the_schema_and_front() {
-    let report = small_exploration(SearchStrategy::Exhaustive)
+    let report = small_exploration()
         .run(&Executor::new())
         .unwrap();
     let json = report.to_json().pretty();
@@ -216,7 +184,7 @@ fn report_json_carries_the_schema_and_front() {
 /// stays JSON the codec's own parser accepts.
 #[test]
 fn report_json_writes_non_finite_objectives_as_null() {
-    let mut exploration = small_exploration(SearchStrategy::Exhaustive);
+    let mut exploration = small_exploration();
     exploration.objectives.push(Objective::maximize(Metric::custom("headroom", |spec, _| {
         if spec.btb_entries == 512 { f64::INFINITY } else { 1.0 }
     })));
