@@ -22,12 +22,6 @@
 //!   --interval <n>         cycles between counter snapshots (default 1000)
 //!   --asbr                 profile + customize (bi-512 auxiliary, quarter BTB),
 //!                          instead of the bimodal-2048 baseline
-//! asbr_tool bench [options]                   host-throughput benchmark: every
-//!                                             workload, baseline + ASBR, best-of-N
-//!   --samples <n>          input samples (default 4000)
-//!   --reps <n>             timed repetitions, best kept (default 5)
-//!   --out <path>           write BENCH_throughput.json here
-//!   --check <golden.json>  fail if simulated cycle counts drift from the golden
 //! asbr_tool wcet [options]                    static cycle-bound (WCET) cross-check:
 //!                                             every workload, baseline + ASBR; fails
 //!                                             if any bound < simulated cycles
@@ -65,9 +59,8 @@
 //! `docs/harness.md`, "Reproduction campaign").
 //!
 //! Exit codes: `0` success; `1` the command ran and a check failed (lint
-//! findings at or above `--deny`, a `wcet` bound below the simulated
-//! cycles, `bench --check` drift); `2` bad usage, or an I/O or library
-//! error.
+//! findings at or above `--deny`, or a `wcet` bound below the simulated
+//! cycles); `2` bad usage, or an I/O or library error.
 //!
 //! Workload names for `trace`/`explore` match the benchmark names of the
 //! tables ignoring case and punctuation (`adpcm-encode`, `g721-decode`,
@@ -96,9 +89,8 @@ use asbr_flow::{call_aware_depths, candidates, select_static, Cfg};
 use asbr_harness::json::{self, ToJson};
 use asbr_harness::{
     Axis, CacheMode, Constraint, CostModel, DesignSpace, Executor, Exploration, HarnessError,
-    Metric, Objective, ResultCache, RunOutcome, RunSpec, SearchStrategy, SweepBench,
-    ThroughputBench, ThroughputSpec, AUX_BTB, PROFILE_PREDICTOR, SAMPLES_FULL, SAMPLES_SMOKE,
-    THROUGHPUT_REPS, THROUGHPUT_SAMPLES,
+    Metric, Objective, ResultCache, RunOutcome, RunSpec, SearchStrategy, SweepBench, AUX_BTB,
+    PROFILE_PREDICTOR, SAMPLES_FULL, SAMPLES_SMOKE,
 };
 use asbr_profile::{profile, select_branches, SelectionConfig};
 use asbr_sim::{
@@ -475,60 +467,6 @@ fn cmd_trace(name: &str, opts: &TraceOpts) -> Result<(), String> {
     );
     for (b, n) in CycleBucket::ALL.iter().zip(totals) {
         println!("  {:<14} {n}", b.name());
-    }
-    Ok(())
-}
-
-struct BenchOpts {
-    samples: usize,
-    reps: usize,
-    out: Option<String>,
-    check: Option<String>,
-}
-
-fn cmd_bench(opts: &BenchOpts) -> Result<(), Failure> {
-    // A golden that cannot be read or parsed is an error, not drift.
-    let golden = match &opts.check {
-        Some(path) => {
-            let text =
-                fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            ThroughputBench::parse_cycles(&text).map_err(|e| format!("{path}: {e}"))?;
-            Some((path, text))
-        }
-        None => None,
-    };
-    let spec = ThroughputSpec::standard(opts.samples, opts.reps);
-    println!(
-        "host-throughput bench: {} runs at {} samples, best of {}",
-        spec.specs.len(),
-        opts.samples,
-        spec.reps
-    );
-    let bench = spec.measure().map_err(|e| e.to_string())?;
-    println!(
-        "{:<38} {:>11} {:>11} {:>10} {:>8}",
-        "run", "cycles", "best ms", "Mcyc/s", "MIPS"
-    );
-    for e in &bench.entries {
-        println!(
-            "{:<38} {:>11} {:>11.2} {:>10.1} {:>8.1}",
-            e.label,
-            e.cycles,
-            e.best_nanos as f64 / 1e6,
-            e.cycles_per_sec() as f64 / 1e6,
-            e.mips()
-        );
-    }
-    for warning in bench.spread_warnings() {
-        println!("warning: {warning}");
-    }
-    if let Some(out) = &opts.out {
-        json::write(out, &bench).map_err(|e| e.to_string())?;
-        println!("wrote {out}");
-    }
-    if let Some((path, text)) = golden {
-        bench.check_against(&text).map_err(Failure::Check)?;
-        println!("simulated cycle counts match {path}");
     }
     Ok(())
 }
@@ -1235,8 +1173,6 @@ fn usage() -> String {
      \x20      asbr_tool lint [FILE.s ...] [--json] [--deny info|warn|error] [--threshold n]\n\
      \x20      asbr_tool tables [TABLE ...] [--samples n] [--threads n] [--no-cache|--refresh]\n\
      \x20      asbr_tool trace <workload> [--samples n] [--out path] [--interval n] [--asbr]\n\
-     \x20      asbr_tool bench [--samples n] [--reps n] [--out path]\n\
-     \x20                      [--check golden.json]\n\
      \x20      asbr_tool wcet [--samples n] [--out path]\n\
      \x20      asbr_tool explore [--space small|default] [--workload name] [--samples n]\n\
      \x20                        [--threads n] [--cache dir|--no-cache] [--refresh]\n\
@@ -1292,26 +1228,6 @@ fn real_main() -> Result<(), Failure> {
             Ok(true)
         })?;
         return cmd_lint(&opts);
-    }
-    if cmd == "bench" {
-        let mut common = CommonOpts::accepting(&["--samples", "--out"]);
-        let mut opts = BenchOpts {
-            samples: THROUGHPUT_SAMPLES,
-            reps: THROUGHPUT_REPS,
-            out: None,
-            check: None,
-        };
-        parse_flags(&args, 1, &mut common, |flag, cur| {
-            match flag {
-                "--reps" => opts.reps = cur.parse("--reps")?,
-                "--check" => opts.check = Some(cur.value("--check")?.clone()),
-                _ => return Ok(false),
-            }
-            Ok(true)
-        })?;
-        opts.samples = common.samples.unwrap_or(THROUGHPUT_SAMPLES);
-        opts.out = common.out;
-        return cmd_bench(&opts);
     }
     if cmd == "wcet" {
         let mut common = CommonOpts::accepting(&["--samples", "--out"]);

@@ -54,12 +54,12 @@ pub enum HarnessError {
         /// Rendered message of the underlying error.
         message: String,
     },
-    /// An input is semantically invalid: a cost model or throughput
-    /// golden with a missing field, a wrong schema tag or an unrecognized
-    /// key, or an exploration with no objectives or no points.
+    /// An input is semantically invalid: a cost model with a missing
+    /// field, a wrong schema tag or an unrecognized key, or an
+    /// exploration with no objectives or no points.
     Spec(String),
-    /// A JSON input — the area/power cost model, the throughput golden —
-    /// failed to parse; positions are 1-based within its text.
+    /// A JSON input — the area/power cost model — failed to parse;
+    /// positions are 1-based within its text.
     SpecParse {
         /// 1-based line of the offense.
         line: usize,

@@ -1,9 +1,9 @@
 //! Host machine metadata stamped into benchmark artifacts.
 //!
-//! Wall-clock benchmark numbers (`BENCH_throughput.json`,
-//! `PARETO_*.json`) are only interpretable next to the machine that
-//! produced them: a 2.1 GHz shared CI runner and a desktop disagree by
-//! integers, not percentages. [`HostInfo::gather`] records the CPU model,
+//! Wall-clock benchmark numbers (`PARETO_*.json`, perfbench's records)
+//! are only interpretable next to the machine that produced them: a
+//! 2.1 GHz shared CI runner and a desktop disagree by integers, not
+//! percentages. [`HostInfo::gather`] records the CPU model,
 //! core count, compiler, and source revision alongside every benchmark so
 //! committed artifacts and CI uploads are self-describing.
 //!
@@ -15,7 +15,7 @@
 use std::fs;
 use std::path::Path;
 
-/// Host metadata block of a benchmark artifact (schema v2 additions).
+/// Host metadata block of a benchmark artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostInfo {
     /// CPU model string from `/proc/cpuinfo` (`"unknown"` off Linux).

@@ -11,15 +11,11 @@
 //! [`ResultCache`] under `results/cache/` (see [`CacheMode`] for the
 //! `--no-cache` / `--refresh` escape hatches). Failures surface as
 //! [`HarnessError`]. [`SweepBench`] records per-run wall-clock and
-//! simulated cycles into `BENCH_sweep.json`, and [`ThroughputSpec`]
-//! measures the simulator hot loop itself — simulated cycles and
-//! instructions per host second, best-of-N — into
-//! `BENCH_throughput.json` (see `docs/performance.md`). On top of the
-//! sweep layer, [`explore`] adds multi-objective design-space
-//! exploration — [`Objective`]/[`Constraint`] over a typed
-//! [`CostModel`] and Pareto-front extraction over every point of a
-//! space, evaluated as one batch — behind `asbr_tool explore` (see
-//! `docs/explore.md`).
+//! simulated cycles into `BENCH_sweep.json`. On top of the sweep layer,
+//! [`explore`] adds multi-objective design-space exploration —
+//! [`Objective`]/[`Constraint`] over a typed [`CostModel`] and
+//! Pareto-front extraction over every point of a space, evaluated as
+//! one batch — behind `asbr_tool explore` (see `docs/explore.md`).
 //!
 //! The crate is deliberately dependency-free beyond the workspace: the
 //! cache key hash ([`hash::Sha256`]), the cache entry format, and the
@@ -43,7 +39,6 @@ mod prefix;
 mod report;
 mod shared;
 pub mod spec;
-pub mod throughput;
 pub mod wcet;
 
 pub use bench::{BenchEntry, SweepBench, BENCH_SCHEMA};
@@ -60,9 +55,5 @@ pub use prefix::Prefix;
 pub use spec::{
     AsbrSpec, MicroTweaks, RunOutcome, RunSpec, AUX_BTB, BASELINE_BTB,
     PROFILE_PREDICTOR, SAMPLES_FULL, SAMPLES_SMOKE,
-};
-pub use throughput::{
-    ThroughputBench, ThroughputEntry, ThroughputSpec, THROUGHPUT_REPS, THROUGHPUT_SAMPLES,
-    THROUGHPUT_SCHEMA,
 };
 pub use wcet::{attach_bound, cross_check, machine_params, WcetRecord};

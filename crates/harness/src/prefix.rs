@@ -6,8 +6,8 @@
 //! derive from them, and, built on first request, the profile report of
 //! the one `Interp` run over them: the branch profile that selection
 //! reads and the per-pc retire counts that the WCET bound reads. The
-//! executor memoizes one prefix per key; [`RunSpec::execute`] and the
-//! throughput bench build one of their own. Every outcome they return
+//! executor memoizes one prefix per key; [`RunSpec::execute`] builds one
+//! of its own. Every outcome they return
 //! carries its prefix ([`RunOutcome::prefix`]), so
 //! [`crate::wcet::cross_check`] reads the counts from it instead of
 //! interpreting the program again.

@@ -67,8 +67,9 @@ impl JobState {
     }
 
     /// Blocks until the job finishes and returns its outcome, marked
-    /// `cached` if an equivalent machine's run served it, and carrying
-    /// the job's prefix however the outcome was produced.
+    /// `cached` with a `wall_nanos` of 0 if an equivalent machine's run
+    /// served it, and carrying the job's prefix however the outcome was
+    /// produced.
     pub(crate) fn wait(&self) -> Result<RunOutcome, HarnessError> {
         let mut slot = self.slot.lock().expect("job slot lock never poisoned");
         while slot.is_none() {
@@ -76,7 +77,10 @@ impl JobState {
         }
         let (result, served) = slot.as_ref().expect("loop exits only when filled");
         let mut outcome = RunOutcome::clone(result.as_ref().map_err(Clone::clone)?);
-        outcome.cached |= *served;
+        if *served {
+            outcome.cached = true;
+            outcome.wall_nanos = 0;
+        }
         outcome.prefix = Some(Arc::clone(&self.prefix));
         Ok(outcome)
     }
@@ -508,6 +512,11 @@ mod tests {
         let stats = ex.stats();
         assert_eq!((stats.computed, stats.machine_hits), (1, 2));
         assert_eq!(cold.iter().filter(|o| o.cached).count(), 2);
+        // A served outcome took no simulation of its own.
+        for o in &cold {
+            let (wall, cached) = (o.wall_nanos, o.cached);
+            assert_eq!(wall == 0, cached, "wall {wall} for cached {cached}");
+        }
         assert!(memo_is_empty(&ex), "the memo outlived its batch");
 
         // Every job stored its own entry: a warm rerun hits all three.

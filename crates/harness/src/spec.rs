@@ -492,9 +492,9 @@ pub struct RunOutcome {
     /// and persisted through the result cache. `None` until computed.
     pub static_bound: Option<u64>,
     /// Wall-clock nanoseconds of the simulation that produced this
-    /// outcome; an outcome served by an equivalent machine carries that
-    /// machine's. 0 for an outcome loaded from the on-disk cache and for
-    /// an in-batch duplicate, which take no simulation of their own.
+    /// outcome. 0 for an outcome loaded from the on-disk cache, an
+    /// in-batch duplicate and an outcome served by an equivalent
+    /// machine's run, which take no simulation of their own.
     pub wall_nanos: u64,
     /// Whether the outcome was served from the result cache (or deduped
     /// against an identical spec in the same sweep).

@@ -220,20 +220,9 @@ fn a_failed_check_exits_1_and_bad_usage_exits_2() {
     // The bundled workloads carry info notes, so denying info fails the check.
     let out = tool().args(["lint", "--deny", "info"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
-    // A golden that pins a run this bench does not make is drift; one that
-    // does not parse is an error.
-    let drift =
-        tempfile::NamedTempPath::with_contents(r#"{"entries": [{"label": "x", "cycles": 1}]}"#);
-    let bad = tempfile::NamedTempPath::with_contents("{bad");
-    let bench = |golden: &tempfile::NamedTempPath| {
-        let args = ["bench", "--samples", "40", "--reps", "1", "--check"];
-        tool().args(args).arg(golden.path()).output().unwrap()
-    };
-    let out = bench(&drift);
-    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(bench(&bad).status.code(), Some(2));
     for args in [
-        &["lint", "--bogus"][..],
+        &["bench"][..],
+        &["lint", "--bogus"],
         &["tables", "nosuch"],
         &["tables", "fig6", "--samples", "4x0"],
         &["explore", "--budget", "6"],

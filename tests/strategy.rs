@@ -3,11 +3,13 @@
 //! tweaked one, must reproduce the digests recorded from the reference
 //! engine. Any change that moves a counter, an attribution bucket, a
 //! per-site or per-branch record, the guest output or the selection
-//! shows up here.
+//! shows up here. The untweaked runs must also reproduce the simulated
+//! cycles and retired instructions of the throughput golden.
 
 use std::fmt::Write as _;
 
-use asbr_harness::{MicroTweaks, RunOutcome, RunSpec, PROFILE_PREDICTOR};
+use asbr_harness::json::{self, Value};
+use asbr_harness::{Executor, MicroTweaks, RunOutcome, RunSpec, PROFILE_PREDICTOR};
 use asbr_workloads::Workload;
 
 const SAMPLES: usize = 400;
@@ -53,12 +55,17 @@ fn outcome_digest(o: &RunOutcome) -> u64 {
 /// baseline and ASBR-customized, under the paper's configuration and
 /// under a configuration with a return-address stack, multi-cycle
 /// multiply/divide and small caches. A change that moves any counter,
-/// bucket, per-site or per-branch record changes a digest.
+/// bucket, per-site or per-branch record changes a digest. The 16 runs
+/// go to one executor batch, the path every table takes, and the 8
+/// untweaked ones must match `tests/goldens/throughput_smoke_400.json`
+/// on `cycles` and `retired`, label by label, with no label missing
+/// from either side.
 #[test]
 fn scalar_statistics_match_pinned_digests() {
     let tweaks =
         MicroTweaks { ras_entries: 8, cache_bytes: 512, ..MicroTweaks::muldiv(4, 12) };
-    let mut got = Vec::new();
+    let mut specs = Vec::new();
+    let mut labels = Vec::new();
     for &w in &Workload::ALL {
         for tweaked in [false, true] {
             for asbr in [false, true] {
@@ -70,13 +77,16 @@ fn scalar_statistics_match_pinned_digests() {
                 if tweaked {
                     spec = spec.with_tweaks(tweaks);
                 }
-                let out = spec.execute().unwrap();
-                let label =
-                    format!("{}{}", spec.label(), if tweaked { "/tweaked" } else { "" });
-                assert_eq!(out.summary.stats.attribution.total(), out.cycles(), "{label}");
-                got.push((label, outcome_digest(&out)));
+                labels.push(format!("{}{}", spec.label(), if tweaked { "/tweaked" } else { "" }));
+                specs.push(spec);
             }
         }
+    }
+    let outcomes = Executor::new().run(&specs).unwrap();
+    let mut got = Vec::new();
+    for (label, out) in labels.iter().zip(&outcomes) {
+        assert_eq!(out.summary.stats.attribution.total(), out.cycles(), "{label}");
+        got.push((label.clone(), outcome_digest(out)));
     }
     let want: [(&str, u64); 16] = [
         ("ADPCM Encode/bimodal/baseline", 0x9c0c_2b2c_49fc_15ea),
@@ -101,4 +111,30 @@ fn scalar_statistics_match_pinned_digests() {
         assert_eq!(label, want_label);
         assert_eq!(*digest, want, "{label}: statistics drifted from the pinned digest");
     }
+
+    let untweaked: Vec<_> =
+        labels.iter().zip(&outcomes).filter(|(l, _)| !l.ends_with("/tweaked")).collect();
+    let golden = json::parse(include_str!("goldens/throughput_smoke_400.json")).unwrap();
+    let entries = golden.get("entries").and_then(Value::as_arr).unwrap();
+    let mut drift = Vec::new();
+    for e in entries {
+        let label = e.get("label").and_then(Value::as_str).unwrap();
+        let pinned = ["cycles", "retired"].map(|k| e.get(k).and_then(Value::as_u64).unwrap());
+        match untweaked.iter().find(|(l, _)| *l == label) {
+            Some((_, out)) => {
+                let ran = [out.cycles(), out.summary.stats.retired];
+                if ran != pinned {
+                    drift.push(format!("`{label}`: ran {ran:?}, golden pins {pinned:?}"));
+                }
+            }
+            None => drift.push(format!("`{label}`: missing from this run")),
+        }
+    }
+    for (label, _) in &untweaked {
+        if !entries.iter().any(|e| e.get("label").and_then(Value::as_str) == Some(label)) {
+            drift.push(format!("`{label}`: not in the golden"));
+        }
+    }
+    let drift = drift.join("\n  ");
+    assert!(drift.is_empty(), "[cycles, retired] drifted from the golden:\n  {drift}");
 }
